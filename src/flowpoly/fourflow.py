@@ -9,6 +9,12 @@ avoids (1, 1): the pair (1, 1) rewrites to -x - y - 1.
 
 Loops contribute both end slots to their vertex, hence nothing: they never
 obstruct a flow and force tension value (0, 0).
+
+The normal form folds on the packed keys of quotient, one radix-3 digit
+per edge, the edge at position i of sorted_edge_ids at weight 3^i, holding
+the code 2a+b of the edge's exponent pair (a, b): adding a Klein element is
+XOR with its code. The top code 3, the pair (1,1), never occurs in a key;
+it expands to minus the sum of the basic codes 0, 1, 2: -(1 + y_e + x_e).
 """
 
 from __future__ import annotations
@@ -24,11 +30,11 @@ from .errors import (
 )
 from .graphs import UndirectedGraph, connected_components, cyclomatic_number, kappa
 from .polynomials import Mono, Poly, mono_mul
+from .quotient import _fold_vertex_factors, _unpack
 
 KleinPair = tuple[int, int]
 
 KLEIN = ((0, 0), (0, 1), (1, 0), (1, 1))
-KLEIN_NONZERO = ((0, 1), (1, 0), (1, 1))
 KLEIN_BASIC = ((0, 0), (0, 1), (1, 0))  # the nowhere-(1,1) codomain
 
 # evaluation points of the ideal's vanishing set, keyed by the nonzero
@@ -282,45 +288,41 @@ def reduce_pair_power(x_exp: int, y_exp: int, edge: str = "e") -> PairQuotientPo
     return PairQuotientPoly((edge,), poly)
 
 
-def _reduce_pair_into(out: dict[Mono, int], mono: Mono, coeff: int) -> None:
-    """Reduce one monomial over the pair basis, accumulating into out."""
-    pairs: dict[str, list[int]] = {}
-    for (kind, edge), exp in mono:
-        r = exp % 2
-        if r:
-            pairs.setdefault(edge, [0, 0])[0 if kind == "x" else 1] = r
-    base = []
-    hot = []  # edges whose reduced pair is (1,1)
-    for edge in sorted(pairs):
-        r1, r2 = pairs[edge]
-        if (r1, r2) == (1, 1):
-            hot.append(edge)
-        elif r1:
-            base.append((xvar(edge), 1))
-        else:
-            base.append((yvar(edge), 1))
-    base_mono = tuple(sorted(base))
-    contribution = -coeff if len(hot) % 2 else coeff
-    # (1,1) rewrites to -(x + y + 1): expand over the three basics
-    for combo in product(KLEIN_BASIC, repeat=len(hot)):
-        extra = []
-        for edge, (r1, r2) in zip(hot, combo):
-            if r1:
-                extra.append((xvar(edge), 1))
-            if r2:
-                extra.append((yvar(edge), 1))
-        m = mono_mul(base_mono, tuple(sorted(extra)))
-        s = out.get(m, 0) + contribution
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-
-
 def _reduce_pair_terms(terms, max_terms: int) -> dict[Mono, int]:
+    """Reduce arbitrary (mono, coeff) pairs over the pair basis."""
     out: dict[Mono, int] = {}
     for mono, coeff in terms:
-        _reduce_pair_into(out, mono, coeff)
+        pairs: dict[str, list[int]] = {}
+        for (kind, edge), exp in mono:
+            r = exp % 2
+            if r:
+                pairs.setdefault(edge, [0, 0])[0 if kind == "x" else 1] = r
+        base = []
+        hot = []  # edges whose reduced pair is (1,1)
+        for edge in sorted(pairs):
+            r1, r2 = pairs[edge]
+            if (r1, r2) == (1, 1):
+                hot.append(edge)
+            elif r1:
+                base.append((xvar(edge), 1))
+            else:
+                base.append((yvar(edge), 1))
+        base_mono = tuple(sorted(base))
+        contribution = -coeff if len(hot) % 2 else coeff
+        # (1,1) rewrites to -(x + y + 1): expand over the three basics
+        for combo in product(KLEIN_BASIC, repeat=len(hot)):
+            extra = []
+            for edge, (r1, r2) in zip(hot, combo):
+                if r1:
+                    extra.append((xvar(edge), 1))
+                if r2:
+                    extra.append((yvar(edge), 1))
+            m = mono_mul(base_mono, tuple(sorted(extra)))
+            s = out.get(m, 0) + contribution
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
         if len(out) > max_terms:
             raise BoundExceeded(f"normal form exceeds {max_terms} terms")
     return out
@@ -359,43 +361,20 @@ def four_flow_polynomial_raw(
     return acc
 
 
-def _pair_accumulation_order(g: UndirectedGraph) -> list[str]:
-    degree = {v: 0 for v in g.vertices}
-    for e in g.edges:
-        degree[e.u] += 1
-        degree[e.v] += 1
-    return sorted(g.vertices, key=lambda v: (-degree[v], v))
-
-
 def four_flow_polynomial_normal_form(
     g: UndirectedGraph, max_terms: int | None = None
 ) -> PairQuotientPoly:
-    """Normal form accumulated vertex by vertex.
-
-    Each vertex factor expands to four unit monomials (x-product times
-    y-product, each product alone, and 1), so the accumulator is multiplied
-    by those and re-reduced; the unreduced expansion never exists.
-    """
+    """Normal form accumulated vertex by vertex on packed keys: the factor
+    (X + 1)(Y + 1) adds each Klein element to the pair of every non-loop
+    edge at the vertex, an XOR on the codes. The unreduced expansion never
+    exists."""
     bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
-    acc: dict[Mono, int] = {(): 1}
-    for v in _pair_accumulation_order(g):
-        xexps: dict = {}
-        yexps: dict = {}
-        for e in g.edges_at(v):
-            mult = 2 if e.is_loop else 1
-            xexps[xvar(e.id)] = xexps.get(xvar(e.id), 0) + mult
-            yexps[yvar(e.id)] = yexps.get(yvar(e.id), 0) + mult
-        xmono = tuple(sorted(xexps.items()))
-        ymono = tuple(sorted(yexps.items()))
-        factor_monos = [mono_mul(xmono, ymono), xmono, ymono, ()]
-        out: dict[Mono, int] = {}
-        for mono_a, coeff in acc.items():
-            for mono_f in factor_monos:
-                _reduce_pair_into(out, mono_mul(mono_a, mono_f), coeff)
-            if len(out) > bound:
-                raise BoundExceeded(f"normal form exceeds {bound} terms")
-        acc = out
-    return PairQuotientPoly(g.sorted_edge_ids, Poly(acc))
+    ids = g.sorted_edge_ids
+    shift = lambda d, k, sign: d ^ k
+    acc = _fold_vertex_factors(g, g.edges, ids, 4, shift, bound, "Klein")
+    xs = [(None, None, (xvar(e), 1)) for e in ids]  # code 2a+b: 2 is x_e
+    ys = [(None, (yvar(e), 1), None) for e in ids]
+    return PairQuotientPoly(ids, Poly(_unpack(acc, 3, [xs, ys])))
 
 
 def klein_eval(f: Poly, assignment: dict[str, KleinPair]) -> int:

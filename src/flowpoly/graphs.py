@@ -109,10 +109,6 @@ class Digraph:
     def out_arcs(self, v: str) -> list[Arc]:
         return list(self._incidence[v][1])
 
-    def arcs_at(self, v: str) -> list[Arc]:
-        ins, outs = self._incidence[v]
-        return [a for a in ins] + [a for a in outs if not a.is_loop]
-
     def underlying(self) -> "UndirectedGraph":
         return UndirectedGraph(
             self.vertices, tuple(Edge(a.id, a.tail, a.head) for a in self.arcs)

@@ -111,9 +111,6 @@ class Poly:
         mono = tuple(sorted((v, e) for v, e in exps.items() if e))
         return self.terms.get(mono, 0)
 
-    def constant_term(self) -> int:
-        return self.terms.get((), 0)
-
     def items(self) -> Iterator[tuple[Mono, int]]:
         return iter(self.terms.items())
 

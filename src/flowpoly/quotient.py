@@ -6,6 +6,11 @@ monomials with all exponents at most p-2 (the basic monomials); a power
 x^r with r = exponent mod p reduces to x^r when r <= p-2 and to
 -(1 + x + ... + x^(p-2)) when r = p-1. Everything is exact over the
 integers; the quotient's complex structure is never needed.
+
+The normal form folds on packed keys: a basic monomial is one integer with
+a radix-(p-1) digit per arc, the exponent of the arc at position i of
+sorted_arc_ids at weight (p-1)^i. The top digit p-1 never occurs in a key;
+it expands to minus the sum of the basic digits 0..p-2, as above.
 """
 
 from __future__ import annotations
@@ -87,13 +92,10 @@ def _reduce_terms(terms, p: int, max_terms: int) -> dict[Mono, int]:
             else:
                 hot.append(var)
         base_mono = tuple(base)
-        sign = -1 if len(hot) % 2 else 1
-        contribution = sign * coeff
+        contribution = -coeff if len(hot) % 2 else coeff
         # each maxed-out variable expands to the sum over exponents 0..p-2
         for combo in product(range(p - 1), repeat=len(hot)):
-            extra = tuple(
-                (v, k) for v, k in sorted(zip(hot, combo)) if k
-            )
+            extra = tuple((v, k) for v, k in sorted(zip(hot, combo)) if k)
             m = mono_mul(base_mono, extra)
             s = out.get(m, 0) + contribution
             if s:
@@ -155,78 +157,104 @@ def flow_polynomial_raw(g: Digraph, p: int, max_terms: int | None = None) -> Pol
     return acc
 
 
-def _fused_multiply_reduce(
-    acc: dict[Mono, int], factor_monos: list[Mono], p: int, max_terms: int
-) -> dict[Mono, int]:
-    """acc times a sum of unit-coefficient monomials, reduced on the fly.
+def _fold_vertex_factors(
+    g, records, ids, q: int, shift, max_terms: int, stage: str
+) -> dict[int, int]:
+    """The reduced product of the vertex factors, as packed key -> coeff.
 
-    The unreduced product is never materialized: every term pair is
-    reduced into the output as it is formed.
+    Vertex v's factor sums, over the q group elements k, the monomial that
+    moves the digit d of each non-loop arc at v to shift(d, k, sign), with
+    sign +1 at the arc's head and -1 at its tail; loops drop out. Vertices
+    of most arcs go first (ties by id), while the accumulator is small.
     """
-    out: dict[Mono, int] = {}
-    expansions = range(p - 1)
-    for mono_a, coeff in acc.items():
-        for mono_f in factor_monos:
-            mono = mono_mul(mono_a, mono_f)
-            base = []
-            hot = []
-            for var, exp in mono:
-                r = exp % p
-                if r == 0:
-                    continue
-                if r <= p - 2:
-                    base.append((var, r))
+    r = q - 1
+    weight = {a: r**i for i, a in enumerate(ids)}
+    stars: dict[str, list[tuple[int, int]]] = {v: [] for v in g.vertices}
+    for rec in records:
+        tail, head = rec.ends()
+        if tail != head:
+            stars[tail].append((weight[rec.id], -1))
+            stars[head].append((weight[rec.id], 1))
+    order = sorted(g.vertices, key=lambda v: (-len(stars[v]), v))
+    acc = {0: 1}
+    for step, v in enumerate(order, 1):
+        star = stars[v]
+        where = f"{stage} normal form exceeds {max_terms} terms at vertex {step} of {len(order)}"
+        # each local digit state expands once into (key delta, coeff) pairs
+        table: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        out: dict[int, int] = {}
+        for key, coeff in acc.items():
+            state = tuple([key // w % r for w, _ in star])
+            pairs = table.get(state)
+            if pairs is None:
+                pairs = table[state] = _expand_state(state, star, r, shift, max_terms, where)
+            for delta, c in pairs:
+                delta += key
+                c = out.get(delta, 0) + c * coeff
+                if c:
+                    out[delta] = c
                 else:
-                    hot.append(var)
-            base_mono = tuple(base)
-            contribution = -coeff if len(hot) % 2 else coeff
-            for combo in product(expansions, repeat=len(hot)):
-                extra = tuple((v, k) for v, k in zip(hot, combo) if k)
-                m = mono_mul(base_mono, extra)
-                s = out.get(m, 0) + contribution
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                    del out[delta]
+            if len(out) > max_terms:
+                raise BoundExceeded(where)
+        acc = out
+    return acc
+
+
+def _expand_state(state, star, r: int, shift, max_terms: int, where: str):
+    """One local digit state times the vertex factor. A top digit expands
+    to the r basic digits, so the bound is checked before expanding."""
+    out: dict[int, int] = {}
+    for k in range(r + 1):
+        base, hot = 0, []
+        for d, (w, sign) in zip(state, star):
+            e = shift(d, k, sign)
+            if e == r:
+                hot.append(w)
+                e = 0
+            base += (e - d) * w
+        if r ** len(hot) > max_terms:
+            raise BoundExceeded(f"{where}: one term expands to {r}^{len(hot)} terms")
+        deltas = [base]
+        for w in hot:
+            deltas = [o + e * w for o in deltas for e in range(r)]
+        coeff = -1 if len(hot) % 2 else 1
+        for delta in deltas:
+            c = out.get(delta, 0) + coeff
+            if c:
+                out[delta] = c
+            else:
+                del out[delta]
         if len(out) > max_terms:
-            raise BoundExceeded(f"normal form exceeds {max_terms} terms")
-    return out
+            raise BoundExceeded(where)
+    return list(out.items())
 
 
-def _accumulation_order(g: Digraph) -> list[str]:
-    """High-degree vertices first (ties by id) so the big factors fold in
-    while the accumulator is still small."""
-    degree = {v: 0 for v in g.vertices}
-    for a in g.arcs:
-        degree[a.tail] += 1
-        degree[a.head] += 1
-    return sorted(g.vertices, key=lambda v: (-degree[v], v))
+def _unpack(acc: dict[int, int], r: int, columns) -> dict[Mono, int]:
+    """Monomials of packed keys: `columns` map arc and digit, per variable
+    kind, to one (var, exponent) pair shared by every term, or to None."""
+    weights = [r**i for i in range(len(columns[0]))]
+    terms = {}
+    for key, c in acc.items():
+        digits = [key // w % r for w in weights]
+        terms[tuple([t[d] for col in columns for t, d in zip(col, digits) if t[d]])] = c
+    return terms
 
 
 def flow_polynomial_normal_form(
     g: Digraph, p: int, max_terms: int | None = None
 ) -> QuotientPoly:
-    """Normal form of the flow polynomial, one vertex factor at a time.
-
-    Every vertex factor is a geometric sum of powers of one monomial, so
-    the accumulator is multiplied by p monomials and re-reduced after each
-    vertex; the unreduced expansion is never materialized.
-    """
+    """Normal form of the flow polynomial, folded vertex by vertex on packed
+    keys: k in Z_p adds to the exponent of each arc entering the vertex and
+    subtracts from each leaving it; the unreduced expansion never exists."""
     if p < 2:
         raise ValueError("p must be >= 2")
     bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
-    arc_ids = g.sorted_arc_ids
-    acc: dict[Mono, int] = {(): 1}
-    for v in _accumulation_order(g):
-        base = _vertex_factor_base(g, v, p)
-        (base_mono,) = base.terms
-        factor_monos = []
-        power: Mono = ()
-        for _ in range(p):
-            factor_monos.append(power)
-            power = mono_mul(power, base_mono)
-        acc = _fused_multiply_reduce(acc, factor_monos, p, bound)
-    return QuotientPoly(p, arc_ids, Poly(acc))
+    ids = g.sorted_arc_ids
+    shift = lambda d, k, sign: (d + sign * k) % p
+    acc = _fold_vertex_factors(g, g.arcs, ids, p, shift, bound, f"Z_{p}")
+    pairs = [[None] + [(a, d) for d in range(1, p - 1)] for a in ids]
+    return QuotientPoly(p, ids, Poly(_unpack(acc, p - 1, [pairs])))
 
 
 def has_nz_flow_membership(g: Digraph, p: int, max_terms: int | None = None) -> bool:

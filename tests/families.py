@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from itertools import combinations, combinations_with_replacement, permutations
 
+from hypothesis import strategies as st
+
 from flowpoly.graphs import Digraph, UndirectedGraph, orient
 
 
@@ -177,3 +179,16 @@ def random_connected_digraph(rng: random.Random, max_edges: int = 8) -> Digraph:
             u, v = v, u
         records.append((f"e{idx}", f"v{u}", f"v{v}"))
     return Digraph.build(records, vertices=[f"v{i}" for i in range(n)])
+
+
+@st.composite
+def small_multigraphs(draw, max_vertices: int = 4, max_edges: int = 5) -> Digraph:
+    """Digraphs with loops, parallel arcs, isolated vertices and several
+    components, small enough that the raw flow polynomial stays cheap."""
+    n = draw(st.integers(1, max_vertices))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    arcs = draw(st.lists(ends, max_size=max_edges))
+    return Digraph.build(
+        ((f"e{i}", f"v{t}", f"v{h}") for i, (t, h) in enumerate(arcs)),
+        vertices=[f"v{i}" for i in range(n)],
+    )

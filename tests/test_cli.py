@@ -1,4 +1,5 @@
 import json
+import time
 
 from flowpoly.cli import main
 
@@ -224,6 +225,41 @@ class TestErrors:
         )
         assert code == 3
         assert "bound" in err.lower() or "exceed" in err.lower()
+
+    def _exits_3_quickly(self, capsys, *argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        assert out == ""
+        return err
+
+    def test_normal_form_bound_exit_3(self, capsys, corpus_dir):
+        err = self._exits_3_quickly(
+            capsys, "normal-form", "-p", 3, "--bound", 100, corpus_dir / "w5.g"
+        )
+        assert "Z_3 normal form exceeds 100 terms at vertex" in err
+
+    def test_four_flow_bound_exit_3(self, capsys, corpus_dir):
+        err = self._exits_3_quickly(
+            capsys, "four-flow", "--bound", 100, corpus_dir / "k4.g"
+        )
+        assert "Klein normal form exceeds 100 terms at vertex" in err
+
+    def test_huge_p_normal_form_exits_before_expanding(self, capsys, corpus_dir):
+        for p in (1000, 150):
+            err = self._exits_3_quickly(
+                capsys, "normal-form", "-p", p, "--bound", 100, corpus_dir / "k4.g"
+            )
+            assert "exceed" in err.lower()
+
+    def test_many_parallel_edges_four_flow_exits_before_expanding(
+        self, capsys, tmp_path
+    ):
+        g = tmp_path / "parallel14.g"
+        g.write_text("".join(f"e e{i:02d} u v\n" for i in range(14)))
+        err = self._exits_3_quickly(capsys, "four-flow", "--bound", 100, g)
+        assert "exceed" in err.lower()
 
     def test_p_below_two_exit_2(self, capsys, corpus_dir):
         code, _, err = run(capsys, "nz-flow", "-p", 1, corpus_dir / "example.g")

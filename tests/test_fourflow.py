@@ -1,4 +1,3 @@
-import os
 from itertools import product
 
 import pytest
@@ -13,8 +12,12 @@ from families import (
     path,
     petersen,
     single_loop,
+    small_multigraphs,
     triangle,
 )
+from hypothesis import given, settings
+
+from flowpoly.errors import BoundExceeded
 from flowpoly.fourflow import (
     KLEIN,
     KleinMap,
@@ -152,6 +155,32 @@ class TestFourFlowPolynomial:
         assert has_nz_four_flow(g)
 
 
+class TestFoldAgainstRawExpansion:
+    @given(g=small_multigraphs(max_vertices=5, max_edges=6))
+    @settings(max_examples=120, deadline=None)
+    def test_fold_matches_normalized_raw(self, g):
+        u = g.underlying()
+        assert four_flow_polynomial_normal_form(u) == normalize_pair(
+            four_flow_polynomial_raw(u)
+        )
+
+
+class TestNormalFormBound:
+    def test_message_names_stage_and_progress(self):
+        with pytest.raises(BoundExceeded) as err:
+            four_flow_polynomial_normal_form(complete(4), max_terms=30)
+        assert str(err.value) == "Klein normal form exceeds 30 terms at vertex 2 of 4"
+
+    def test_expansion_checked_before_it_is_built(self):
+        # the (1,1) element on 14 parallel edges would expand to 3^14 terms
+        with pytest.raises(BoundExceeded, match="vertex 1 of 2: one term expands"):
+            four_flow_polynomial_normal_form(parallel(14), max_terms=100)
+
+    def test_membership_propagates(self):
+        with pytest.raises(BoundExceeded):
+            has_nz_four_flow(complete(4), "membership", max_terms=10)
+
+
 class TestHasNzFourFlow:
     def test_k4(self):
         assert has_nz_four_flow(complete(4))
@@ -162,11 +191,7 @@ class TestHasNzFourFlow:
     def test_petersen_brute(self):
         assert not has_nz_four_flow(petersen(), method="brute")
 
-    @pytest.mark.skipif(
-        not os.environ.get("FLOWPOLY_SLOW"),
-        reason="several minutes; set FLOWPOLY_SLOW=1 to run",
-    )
-    def test_petersen_membership_route_slow(self):
+    def test_petersen_membership_route(self):
         # the full normal form of the Petersen graph cancels to zero
         assert four_flow_polynomial_normal_form(petersen()).is_zero
 

@@ -6,14 +6,17 @@ from hypothesis import strategies as st
 
 from families import (
     all_connected_multigraphs,
+    complete,
     default_orientation,
     directed_cycle,
     disjoint_union,
     example_graph,
     path,
+    small_multigraphs,
     triangle,
 )
 from flowpoly.cyclotomic import CyclotomicInt, cyclotomic_eval, cyclotomic_polynomial
+from flowpoly.errors import BoundExceeded
 from flowpoly.flows import ZpMap
 from flowpoly.graphs import Digraph, orient
 from flowpoly.polynomials import Poly
@@ -219,6 +222,34 @@ class TestFlowPolynomial:
         for p in (2, 3, 4, 5):
             assert not has_nz_flow_membership(g, p)
         assert has_nz_flow_membership(directed_cycle(3), 2)
+
+
+class TestFoldAgainstRawExpansion:
+    @given(g=small_multigraphs(), p=st.sampled_from((2, 3, 4, 5)))
+    @settings(max_examples=120, deadline=None)
+    def test_fold_matches_normalized_raw(self, g, p):
+        # p=2 is the radix-1 case: every packed key is 0
+        assert flow_polynomial_normal_form(g, p) == normalize(
+            flow_polynomial_raw(g, p), p
+        )
+
+
+class TestNormalFormBound:
+    def test_message_names_stage_and_progress(self):
+        g = default_orientation(complete(4))
+        with pytest.raises(BoundExceeded) as err:
+            flow_polynomial_normal_form(g, 4, max_terms=200)
+        assert str(err.value) == "Z_4 normal form exceeds 200 terms at vertex 3 of 4"
+
+    def test_expansion_checked_before_it_is_built(self):
+        # one arc leaving a vertex at p=10**6 would expand to 999999 terms
+        g = Digraph.build([("e1", "u", "v"), ("e2", "v", "u")])
+        with pytest.raises(BoundExceeded, match="vertex 1 of 2: one term expands"):
+            flow_polynomial_normal_form(g, 10**6, max_terms=100)
+
+    def test_membership_propagates(self):
+        with pytest.raises(BoundExceeded):
+            has_nz_flow_membership(default_orientation(complete(4)), 5, max_terms=10)
 
 
 class TestEvaluation:
