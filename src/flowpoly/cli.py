@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 a verification cross-check disagreed, 2 bad
 input (parse or validation errors), 3 an enumeration or term bound was
-exceeded.
+exceeded, 4 an internal error (a bug; the traceback goes to stderr).
+
+Each command builds every artifact (normal form, coefficient table,
+witness) at most once and passes it on to the checks that need it.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from . import __version__
 from .embedding import plane_dual
@@ -51,7 +55,7 @@ from .fourflow import (
     four_flow_polynomial_normal_form,
     conformal_pair_normal_form,
     find_nz_four_flow,
-    has_nz_four_flow,
+    _three_way_answer,
 )
 from .graphs import cyclomatic_number, kappa
 from .quotient import (
@@ -168,17 +172,19 @@ def cmd_coeff_table(args) -> int:
 def cmd_four_flow(args) -> int:
     g = load_graph(args.file).as_undirected()
     nf = four_flow_polynomial_normal_form(g, max_terms=args.bound)
-    answer = has_nz_four_flow(g, "all", max_states=args.bound, max_terms=args.bound)
+    table = four_flow_coefficient_table(g, max_states=args.bound)
+    witness = find_nz_four_flow(g, max_states=args.bound)
+    answer = _three_way_answer(
+        not nf.is_zero, any(c != 0 for c in table.values()), witness is not None
+    )
     payload = {
         "normal_form": pair_poly_to_json(nf),
         "nz_four_flow": answer,
     }
-    witness = find_nz_four_flow(g, max_states=args.bound)
     if witness is not None:
         payload["witness"] = klein_map_to_json(witness)
     if args.table:
         ids = g.sorted_edge_ids
-        table = four_flow_coefficient_table(g, max_states=args.bound)
         payload["table"] = [
             {"psi": {e: list(v) for e, v in zip(ids, key)}, "c": c}
             for key, c in sorted(table.items())
@@ -260,8 +266,10 @@ def _verify_checks(args):
     bound = args.bound
 
     nf = flow_polynomial_normal_form(g, p, max_terms=bound)
+    identity = conformal_normal_form(g, p, max_states=bound)
     by_membership = not nf.is_zero
-    by_conformal = has_nz_flow_conformal(g, p, max_states=bound)
+    # the identity is p^kappa times the table, so it is zero just when the table is
+    by_conformal = not identity.is_zero
     by_brute = has_nz_flow_brute(g, p, max_states=bound)
     yield (
         "deciders-agree",
@@ -276,7 +284,6 @@ def _verify_checks(args):
     ) == p ** (len(g.vertices) - kappa(g))
     yield ("enumeration-counts", ok_counts, f"{len(flows)} flows, {len(tensions)} tensions")
 
-    identity = conformal_normal_form(g, p, max_states=bound)
     yield (
         "normal-form-identity",
         nf == identity,
@@ -342,14 +349,17 @@ def _verify_checks(args):
 
     if p == 4:
         u = parsed.as_undirected()
-        klein = has_nz_four_flow(u, "all", max_states=bound, max_terms=bound)
+        nf4 = four_flow_polynomial_normal_form(u, max_terms=bound)
+        identity4 = conformal_pair_normal_form(u, max_states=bound)
+        witness4 = find_nz_four_flow(u, max_states=bound)
+        klein = _three_way_answer(
+            not nf4.is_zero, not identity4.is_zero, witness4 is not None
+        )
         yield (
             "four-flow-group-independence",
             klein == by_membership,
             f"klein={klein} z4={by_membership}",
         )
-        nf4 = four_flow_polynomial_normal_form(u, max_terms=bound)
-        identity4 = conformal_pair_normal_form(u, max_states=bound)
         yield ("four-flow-identity", nf4 == identity4, "pair normal form")
 
 
@@ -461,6 +471,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

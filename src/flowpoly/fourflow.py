@@ -368,13 +368,18 @@ def four_flow_polynomial_normal_form(
     (X + 1)(Y + 1) adds each Klein element to the pair of every non-loop
     edge at the vertex, an XOR on the codes. The unreduced expansion never
     exists."""
-    bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
+    acc = _klein_fold(g, max_terms)
     ids = g.sorted_edge_ids
-    shift = lambda d, k, sign: d ^ k
-    acc = _fold_vertex_factors(g, g.edges, ids, 4, shift, bound, "Klein")
     xs = [(None, None, (xvar(e), 1)) for e in ids]  # code 2a+b: 2 is x_e
     ys = [(None, (yvar(e), 1), None) for e in ids]
     return PairQuotientPoly(ids, Poly(_unpack(acc, 3, [xs, ys])))
+
+
+def _klein_fold(g: UndirectedGraph, max_terms: int | None) -> dict[int, int]:
+    """The packed normal form: empty exactly when the normal form is zero."""
+    bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
+    shift = lambda d, k, sign: d ^ k
+    return _fold_vertex_factors(g, g.edges, g.sorted_edge_ids, 4, shift, bound, "Klein")
 
 
 def klein_eval(f: Poly, assignment: dict[str, KleinPair]) -> int:
@@ -527,7 +532,7 @@ def has_nz_four_flow(
     circulation space). "all" runs the three and raises if they disagree.
     """
     if method == "membership":
-        return not four_flow_polynomial_normal_form(g, max_terms).is_zero
+        return bool(_klein_fold(g, max_terms))
     if method == "conformal":
         return any(
             c != 0 for c in four_flow_coefficient_table(g, max_states).values()
@@ -535,11 +540,18 @@ def has_nz_four_flow(
     if method == "brute":
         return find_nz_four_flow(g, max_states) is not None
     if method == "all":
-        answers = {
-            m: has_nz_four_flow(g, m, max_states, max_terms)
-            for m in ("membership", "conformal", "brute")
-        }
-        if len(set(answers.values())) != 1:
-            raise VerificationError(f"four-flow methods disagree: {answers}")
-        return answers["brute"]
+        return _three_way_answer(
+            has_nz_four_flow(g, "membership", max_states, max_terms),
+            has_nz_four_flow(g, "conformal", max_states, max_terms),
+            has_nz_four_flow(g, "brute", max_states, max_terms),
+        )
     raise ValueError(f"unknown method {method!r}")
+
+
+def _three_way_answer(membership: bool, conformal: bool, brute: bool) -> bool:
+    """The common answer of the three four-flow routes; raises if they
+    disagree."""
+    answers = {"membership": membership, "conformal": conformal, "brute": brute}
+    if len(set(answers.values())) != 1:
+        raise VerificationError(f"four-flow methods disagree: {answers}")
+    return brute

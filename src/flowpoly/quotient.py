@@ -16,6 +16,7 @@ it expands to minus the sum of the basic digits 0..p-2, as above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .cyclotomic import CyclotomicInt, cyclotomic_eval
@@ -247,20 +248,25 @@ def flow_polynomial_normal_form(
     """Normal form of the flow polynomial, folded vertex by vertex on packed
     keys: k in Z_p adds to the exponent of each arc entering the vertex and
     subtracts from each leaving it; the unreduced expansion never exists."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
+    acc = _zp_fold(g, p, max_terms)
     ids = g.sorted_arc_ids
-    shift = lambda d, k, sign: (d + sign * k) % p
-    acc = _fold_vertex_factors(g, g.arcs, ids, p, shift, bound, f"Z_{p}")
     pairs = [[None] + [(a, d) for d in range(1, p - 1)] for a in ids]
     return QuotientPoly(p, ids, Poly(_unpack(acc, p - 1, [pairs])))
 
 
+def _zp_fold(g: Digraph, p: int, max_terms: int | None) -> dict[int, int]:
+    """The packed normal form: empty exactly when the normal form is zero."""
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
+    shift = lambda d, k, sign: (d + sign * k) % p
+    return _fold_vertex_factors(g, g.arcs, g.sorted_arc_ids, p, shift, bound, f"Z_{p}")
+
+
 def has_nz_flow_membership(g: Digraph, p: int, max_terms: int | None = None) -> bool:
     """Nowhere-zero p-flow existence by non-membership of the flow
-    polynomial in the ideal."""
-    return not flow_polynomial_normal_form(g, p, max_terms).is_zero
+    polynomial in the ideal, decided on the packed keys without decoding."""
+    return bool(_zp_fold(g, p, max_terms))
 
 
 def conformal_normal_form(
@@ -307,11 +313,18 @@ def flow_poly_eval(g: Digraph, assignment: dict[str, int], p: int) -> Cyclotomic
             exp += assignment[a.id]
         for a in g.out_arcs(v):
             exp += (p - 1) * assignment[a.id]
-        factor = CyclotomicInt.zero(p)
-        for i in range(p):
-            factor = factor + CyclotomicInt.root_power(p, exp * i)
-        result = result * factor
+        result = result * _vertex_factor(p, exp % p)
     return result
+
+
+@lru_cache(maxsize=4096)
+def _vertex_factor(p: int, residue: int) -> CyclotomicInt:
+    """The vertex factor sum of rho^(i * residue) over i < p, summed in
+    Z[rho]. It depends only on the vertex's exponent mod p."""
+    factor = CyclotomicInt.zero(p)
+    for i in range(p):
+        factor = factor + CyclotomicInt.root_power(p, residue * i)
+    return factor
 
 
 def eval_at_map(g: Digraph, f: Poly, phi: ZpMap) -> CyclotomicInt:

@@ -1,6 +1,12 @@
 import json
+import random
+import sys
 import time
+from collections import Counter
 
+import pytest
+
+from flowpoly import cli
 from flowpoly.cli import main
 
 
@@ -264,3 +270,116 @@ class TestErrors:
     def test_p_below_two_exit_2(self, capsys, corpus_dir):
         code, _, err = run(capsys, "nz-flow", "-p", 1, corpus_dir / "example.g")
         assert code == 2
+
+
+def patch_everywhere(monkeypatch, name, make):
+    """Rebind `name`, in every flowpoly module that holds it, to
+    make(original)."""
+    modules = [m for n, m in sys.modules.items() if n.startswith("flowpoly")]
+    fn = next(getattr(m, name) for m in modules if hasattr(m, name))
+    replacement = make(fn)
+    for m in modules:
+        if getattr(m, name, None) is fn:
+            monkeypatch.setattr(m, name, replacement)
+
+
+def count_calls(monkeypatch, *names):
+    calls = Counter()
+    for name in names:
+
+        def make(fn, name=name):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        patch_everywhere(monkeypatch, name, make)
+    return calls
+
+
+class TestComputeOnce:
+    KLEIN = ("_klein_fold", "four_flow_coefficient_table", "find_nz_four_flow")
+
+    def test_verify_p4_builds_each_artifact_once(self, capsys, monkeypatch, corpus_dir):
+        names = (*self.KLEIN, "_zp_fold", "coefficient_table")
+        calls = count_calls(monkeypatch, *names)
+        code, out, _ = run(capsys, "verify", "-p", 4, corpus_dir / "k4.g")
+        assert code == 0, out
+        assert "four-flow-identity" in out
+        assert calls == dict.fromkeys(names, 1)
+
+    def test_four_flow_table_builds_each_artifact_once(
+        self, capsys, monkeypatch, corpus_dir
+    ):
+        calls = count_calls(monkeypatch, *self.KLEIN)
+        code, _, _ = run(capsys, "four-flow", "--table", corpus_dir / "k4.g")
+        assert code == 0
+        assert calls == dict.fromkeys(self.KLEIN, 1)
+
+    @pytest.mark.parametrize(
+        "argv", [("verify", "-p", "4"), ("four-flow",), ("four-flow", "--table")]
+    )
+    def test_lost_witness_is_a_disagreement(self, capsys, monkeypatch, corpus_dir, argv):
+        # K4 has a nowhere-zero four-flow, so a missing witness must be caught
+        patch_everywhere(monkeypatch, "find_nz_four_flow", lambda fn: lambda *a, **k: None)
+        code, _, err = run(capsys, *argv, corpus_dir / "k4.g")
+        assert code == 1
+        assert "four-flow methods disagree" in err
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), AssertionError("a bug")])
+    def test_unexpected_exception_exits_4(self, capsys, monkeypatch, corpus_dir, exc):
+        def broken(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_dual", broken)
+        code, out, err = run(capsys, "dual", corpus_dir / "example.g")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error:")
+        assert "Traceback" in err and type(exc).__name__ in err
+
+    def test_seeded_fuzz_never_crashes(self, capsys, tmp_path, corpus_dir):
+        # mutated corpus texts end in a result, a disagreement, bad input or
+        # an exceeded bound, never in an internal error
+        rng = random.Random(20261018)
+        texts = [p.read_text() for p in sorted(corpus_dir.glob("*.g"))]
+        pool = ["a", "e", "v", "rot", "#", "x", "e1+", "e1-", "v1", "-1", "", "\t", "u u"]
+        commands = [
+            ("nz-flow", "-p", "3", "--method", "membership"),
+            ("nz-flow", "-p", "2", "--method", "brute"),
+            ("four-flow",),
+            ("verify", "-p", "2"),
+            ("dual",),
+            ("chordal-orient",),
+            ("color", "-p", "3"),
+            ("planar-check", "-p", "2"),
+        ]
+        path = tmp_path / "fuzz.g"
+        codes = Counter()
+        for _ in range(200):
+            lines = rng.choice(texts).splitlines()
+            i = rng.randrange(len(lines))
+            tokens = lines[i].split()
+            roll = rng.random()
+            if roll < 0.25:
+                del lines[i]
+            elif roll < 0.35:
+                lines.insert(i, lines[i])
+            elif roll < 0.75 and tokens:
+                # another token of the same text: a new end, id or tag
+                tokens[rng.randrange(len(tokens))] = rng.choice(
+                    " ".join(lines).split()
+                )
+                lines[i] = " ".join(tokens)
+            else:
+                tokens.insert(rng.randint(0, len(tokens)), rng.choice(pool))
+                lines[i] = " ".join(tokens)
+            path.write_text("\n".join(lines) + "\n")
+            argv = rng.choice(commands) + ("--bound", "4000", path)
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1, 2, 3), (argv, path.read_text(), err)
+            codes[code] += 1
+        assert codes[0] and codes[2]

@@ -164,6 +164,14 @@ class TestFoldAgainstRawExpansion:
             four_flow_polynomial_raw(u)
         )
 
+    @given(g=small_multigraphs(max_vertices=5, max_edges=6))
+    @settings(max_examples=120, deadline=None)
+    def test_membership_decides_on_the_packed_keys(self, g):
+        u = g.underlying()
+        assert has_nz_four_flow(u, "membership") == (
+            not four_flow_polynomial_normal_form(u).is_zero
+        )
+
 
 class TestNormalFormBound:
     def test_message_names_stage_and_progress(self):

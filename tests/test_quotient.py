@@ -233,6 +233,13 @@ class TestFoldAgainstRawExpansion:
             flow_polynomial_raw(g, p), p
         )
 
+    @given(g=small_multigraphs(), p=st.sampled_from((2, 3, 4, 5)))
+    @settings(max_examples=120, deadline=None)
+    def test_membership_decides_on_the_packed_keys(self, g, p):
+        assert has_nz_flow_membership(g, p) == (
+            not flow_polynomial_normal_form(g, p).is_zero
+        )
+
 
 class TestNormalFormBound:
     def test_message_names_stage_and_progress(self):
@@ -289,6 +296,18 @@ class TestEvaluation:
                     assert flow_poly_eval(d, assignment, p) == cyclotomic_eval(
                         raw, assignment, p
                     )
+
+    @given(g=small_multigraphs(), p=st.sampled_from((2, 3, 4, 5)))
+    @settings(max_examples=80, deadline=None)
+    def test_cached_factors_match_raw_at_every_point(self, g, p):
+        # loops and isolated vertices take the residue-0 factor
+        raw = flow_polynomial_raw(g, p)
+        ids = g.sorted_arc_ids
+        for combo in product(range(1, p), repeat=len(ids)):
+            assignment = dict(zip(ids, combo))
+            assert flow_poly_eval(g, assignment, p) == cyclotomic_eval(
+                raw, assignment, p
+            )
 
     def test_dichotomy_small(self):
         # only two values ever appear on the zero set: 0 and p^|V|
