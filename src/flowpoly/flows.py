@@ -5,12 +5,27 @@ sums to zero around every circuit, equivalently comes from vertex
 potentials on each component. Parity of a map counts the arcs carrying the
 maximal label p-1. All enumerations are deterministic: free slots are
 ordered by ascending id and assignments run lexicographically.
+
+Internally a map is a tuple of codes 0..q-1 over a finite abelian group
+(Z_p here, the Klein group in fourflow), and ZpMap / KleinMap objects are
+built only at the public API. One set of generators and tests serves both
+groups.
+
+The conformal table c(psi) is aggregated on packed keys. A map is the
+base-q integer with the code of the arc at position i at weight q^i, and
+the maps are counted into one dict. The top code q-1 is then swept out one
+arc at a time: each key whose digit there is q-1 moves, negated, to the q-1
+keys with digits 0..q-2 there, and the dict is rebuilt without zero entries
+after each arc. What is left is c(psi) at the key of psi. The work bound
+still counts (q-1)^|hot| per map, the size of its box of conformal psi,
+and is checked while counting, before any sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import eq, mul
 
 from .errors import (
     BoundExceeded,
@@ -78,6 +93,32 @@ class ConformalCount:
         return self.even - self.odd
 
 
+@dataclass(frozen=True)
+class _Group:
+    """A finite abelian group on the codes 0..q-1; q-1 is the top code.
+
+    Code x carries the integer label[x], and the code of x - y is
+    diff[label[x] - label[y]], where negative indices count from the end.
+    """
+
+    label: tuple[int, ...]
+    diff: tuple[int, ...]
+
+    @property
+    def q(self) -> int:
+        return len(self.label)
+
+    @property
+    def neg(self) -> list[int]:
+        return [self.diff[-x] for x in self.label]
+
+
+def _zp(p: int) -> _Group:
+    # labels are the codes, and codes[x - y] is (x - y) mod p
+    codes = tuple(range(p))
+    return _Group(codes, codes)
+
+
 def surplus(g: Digraph, phi: ZpMap) -> dict[str, int]:
     """Flow surplus per vertex: sum over in-arcs minus sum over out-arcs,
     mod p. Loops cancel themselves."""
@@ -94,29 +135,9 @@ def surplus(g: Digraph, phi: ZpMap) -> dict[str, int]:
 
 
 def is_flow(g: Digraph, phi: ZpMap) -> bool:
-    return all(v == 0 for v in surplus(g, phi).values())
-
-
-def _potentials_from(g: Digraph, phi: ZpMap) -> dict[str, int]:
-    """Propagate vertex potentials along a spanning forest, roots at 0."""
-    p = phi.p
-    omega: dict[str, int] = {}
-    neighbours: dict[str, list[tuple[str, str, int]]] = {v: [] for v in g.vertices}
-    for a in sorted(g.arcs, key=lambda a: a.id):
-        if not a.is_loop:
-            neighbours[a.tail].append((a.head, a.id, +1))
-            neighbours[a.head].append((a.tail, a.id, -1))
-    for comp in connected_components(g):
-        root = comp[0]
-        omega[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w, aid, sign in neighbours[v]:
-                if w not in omega:
-                    omega[w] = (omega[v] + sign * phi[aid]) % p
-                    stack.append(w)
-    return omega
+    phi.check_domain(g)
+    ids = g.sorted_arc_ids
+    return _flow_test(g, g.arcs, ids, _zp(phi.p))(phi.as_tuple(ids))
 
 
 def is_dual_flow(g: Digraph, phi: ZpMap, debug: bool = False) -> bool:
@@ -127,8 +148,8 @@ def is_dual_flow(g: Digraph, phi: ZpMap, debug: bool = False) -> bool:
     """
     phi.check_domain(g)
     p = phi.p
-    omega = _potentials_from(g, phi)
-    ok = all((omega[a.head] - omega[a.tail]) % p == phi[a.id] for a in g.arcs)
+    ids = g.sorted_arc_ids
+    ok = _potentials(g, g.arcs, ids, _zp(p))[1](phi.as_tuple(ids)) is not None
     if debug and len(g.arcs) <= 12:
         by_circuits = all(
             _circuit_sum(phi, c) % p == 0 for c in circuits(g)
@@ -150,57 +171,158 @@ def _check_states(count: int, max_states: int | None) -> None:
         raise BoundExceeded(f"{count} states exceed the bound {bound}")
 
 
+def _forest(g, records):
+    """A BFS spanning forest from the least vertex of each component, with
+    neighbours by ascending record id: the roots, and (vertex, parent,
+    record) for every other vertex in visiting order."""
+    near: dict[str, list] = {v: [] for v in g.vertices}
+    for rec in sorted(records, key=lambda r: r.id):
+        a, b = rec.ends()
+        if a != b:
+            near[a].append((b, rec))
+            near[b].append((a, rec))
+    roots = [comp[0] for comp in connected_components(g)]
+    seen = set(roots)
+    steps = []
+    for root in roots:
+        queue = [root]
+        for v in queue:
+            for w, rec in near[v]:
+                if w not in seen:
+                    seen.add(w)
+                    steps.append((w, v, rec))
+                    queue.append(w)
+    return roots, steps
+
+
+def _stars(g, records, index) -> dict[str, list[tuple[int, int]]]:
+    """(position, +1 at the head / -1 at the tail) of the non-loop records
+    at each vertex."""
+    stars: dict[str, list[tuple[int, int]]] = {v: [] for v in g.vertices}
+    for rec in records:
+        tail, head = rec.ends()
+        if tail != head:
+            stars[tail].append((index[rec.id], -1))
+            stars[head].append((index[rec.id], 1))
+    return stars
+
+
+def _flow_test(g, records, ids, group: _Group):
+    """A test of whether a code tuple over `ids` conserves at every vertex."""
+    stars = [s for s in _stars(g, records, {a: i for i, a in enumerate(ids)}).values() if s]
+    label, diff, neg = group.label, group.diff, group.neg
+
+    def test(values) -> bool:
+        for star in stars:
+            total = 0
+            for i, sign in star:  # total += sign * values[i]
+                v = values[i]
+                total = diff[label[total] - label[neg[v] if sign > 0 else v]]
+            if total:
+                return False
+        return True
+
+    return test
+
+
+def _potentials(g, records, ids, group: _Group):
+    """(vertices, solve): solve(values) gives the potentials of `vertices`
+    when the code tuple over `ids` is a tension, and None otherwise. Roots
+    get 0, each other vertex its forest parent's potential plus the joining
+    record's value at the record's head, minus it at its tail; the records
+    off the forest are then checked."""
+    index = {a: i for i, a in enumerate(ids)}
+    roots, steps = _forest(g, records)
+    slot = {v: k for k, v in enumerate(roots + [w for w, _, _ in steps])}
+    grow = [(slot[w], slot[v], index[rec.id], rec.ends()[1] == w) for w, v, rec in steps]
+    forest = {rec.id for _, _, rec in steps}
+    checks = [
+        (index[rec.id], slot[rec.ends()[1]], slot[rec.ends()[0]])
+        for rec in records
+        if rec.id not in forest
+    ]
+    label, diff, neg = group.label, group.diff, group.neg
+    size = len(slot)
+
+    def solve(values):
+        omega = [0] * size
+        for w, v, i, at_head in grow:
+            x = values[i]
+            omega[w] = diff[label[omega[v]] - label[neg[x] if at_head else x]]
+        for i, h, t in checks:
+            if diff[label[omega[h]] - label[omega[t]]] != values[i]:
+                return None
+        return omega
+
+    return list(slot), solve
+
+
+def _tensions(g, ends, group: _Group, max_states):
+    """Tension code tuples aligned with `ends`, the (tail, head) of each
+    record: head potential minus tail potential. The potentials of the
+    sorted non-root vertices run lexicographically; roots are at 0."""
+    comps = connected_components(g)
+    free = sorted(v for comp in comps for v in comp[1:])
+    _check_states(group.q ** len(free), max_states)
+    slot = {v: i for i, v in enumerate(free)}
+    pairs = [(slot.get(h, -1), slot.get(t, -1)) for t, h in ends]
+    diff = group.diff
+    # a[-1] = 0 is the label of every root's potential
+    for a in product(*[group.label] * len(free), (0,)):
+        yield tuple([diff[a[h] - a[t]] for h, t in pairs])
+
+
+def _circulations(g, records, group: _Group, max_states):
+    """Flow code tuples over the sorted record ids. The records off the
+    forest, by ascending id, run lexicographically over the codes; each
+    forest record, leaves up, then balances the others at its vertex."""
+    q = group.q
+    _check_states(q ** cyclomatic_number(g), max_states)
+    ids = sorted(r.id for r in records)
+    index = {a: i for i, a in enumerate(ids)}
+    stars = _stars(g, records, index)
+    _, steps = _forest(g, records)
+    forest = {index[rec.id] for _, _, rec in steps}
+    free = [i for i in range(len(ids)) if i not in forest]
+    solves = []
+    for w, _, rec in reversed(steps):
+        i = index[rec.id]
+        sign = 1 if rec.ends()[1] == w else -1
+        # sign * x + sum s * y = 0, so x takes -sign * s * y from each other y
+        solves.append((i, [(j, s == sign) for j, s in stars[w] if j != i]))
+    label, diff, neg = group.label, group.diff, group.neg
+    values = [0] * len(ids)
+    for assignment in product(range(q), repeat=len(free)):
+        for i, x in zip(free, assignment):
+            values[i] = x
+        for i, terms in solves:
+            x = 0
+            for j, minus in terms:
+                y = values[j]
+                x = diff[label[x] - label[y if minus else neg[y]]]
+            values[i] = x
+        yield tuple(values)
+
+
+def _tension_tuples(g: Digraph, p: int, ids: tuple[str, ...], max_states):
+    """Tension value tuples aligned with `ids`, in the order of
+    enumerate_dual_flows."""
+    return _tensions(g, [g.arc_by_id[a].ends() for a in ids], _zp(p), max_states)
+
+
+def _flow_tuples(g: Digraph, p: int, max_states):
+    """Flow value tuples over g.sorted_arc_ids, in the order of
+    enumerate_flows."""
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    return _circulations(g, g.arcs, _zp(p), max_states)
+
+
 def enumerate_flows(g: Digraph, p: int, max_states: int | None = None) -> list[ZpMap]:
     """All p^(|E|-|V|+kappa) flows: free values on non-forest arcs, forest
     arcs solved bottom-up. Deterministic lexicographic order."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    _check_states(p ** cyclomatic_number(g), max_states)
-
-    # BFS spanning forest; record parent arcs and a leaves-up vertex order
-    parent_arc: dict[str, str] = {}
-    order: list[str] = []
-    visited: set[str] = set()
-    neighbours: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertices}
-    for a in sorted(g.arcs, key=lambda a: a.id):
-        if not a.is_loop:
-            neighbours[a.tail].append((a.head, a.id))
-            neighbours[a.head].append((a.tail, a.id))
-    for comp in connected_components(g):
-        root = comp[0]
-        visited.add(root)
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w, aid in neighbours[v]:
-                if w not in visited:
-                    visited.add(w)
-                    parent_arc[w] = aid
-                    queue.append(w)
-
-    forest_ids = set(parent_arc.values())
-    free_ids = [a for a in g.sorted_arc_ids if a not in forest_ids]
-    solve_order = [v for v in reversed(order) if v in parent_arc]
-
-    out = []
-    for assignment in product(range(p), repeat=len(free_ids)):
-        values = dict(zip(free_ids, assignment))
-        for v in solve_order:
-            aid = parent_arc[v]
-            arc = g.arc_by_id[aid]
-            total = 0
-            for b in g.in_arcs(v):
-                if b.id != aid and not b.is_loop:
-                    total += values[b.id]
-            for b in g.out_arcs(v):
-                if b.id != aid and not b.is_loop:
-                    total -= values[b.id]
-            # conservation at v: phi(parent) enters with sign +1 when v is
-            # its head, -1 when v is its tail
-            values[aid] = (-total) % p if arc.head == v else total % p
-        out.append(ZpMap(p, values))
-    return out
+    ids = g.sorted_arc_ids
+    return [ZpMap.from_tuple(p, ids, v) for v in _flow_tuples(g, p, max_states)]
 
 
 def enumerate_dual_flows(g: Digraph, p: int, max_states: int | None = None) -> list[ZpMap]:
@@ -208,20 +330,10 @@ def enumerate_dual_flows(g: Digraph, p: int, max_states: int | None = None) -> l
     pinned to zero. Deterministic lexicographic order over free vertices."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    comps = connected_components(g)
-    free_vertices = sorted(v for comp in comps for v in comp[1:])
-    _check_states(p ** len(free_vertices), max_states)
-    roots = {comp[0] for comp in comps}
-    out = []
-    for assignment in product(range(p), repeat=len(free_vertices)):
-        omega = dict(zip(free_vertices, assignment))
-        for r in roots:
-            omega[r] = 0
-        values = {
-            a.id: (omega[a.head] - omega[a.tail]) % p for a in g.arcs
-        }
-        out.append(ZpMap(p, values))
-    return out
+    ids = [a.id for a in g.arcs]
+    return [
+        ZpMap.from_tuple(p, ids, v) for v in _tension_tuples(g, p, ids, max_states)
+    ]
 
 
 def parity(phi: ZpMap) -> str:
@@ -244,33 +356,29 @@ def is_conformal(phi: ZpMap, psi: ZpMap) -> bool:
     )
 
 
-def _count_by_subsets(g: Digraph, psi: ZpMap, predicate, max_states) -> ConformalCount:
+def _count_by_subsets(g: Digraph, psi: ZpMap, test, max_states) -> ConformalCount:
+    """Raise every subset of the arcs to p-1 in psi and test the result."""
     ids = g.sorted_arc_ids
     _check_states(2 ** len(ids), max_states)
     top = psi.p - 1
-    even = odd = 0
+    base = psi.as_tuple(ids)
+    counts = [0, 0]
     for mask in product((False, True), repeat=len(ids)):
-        values = {
-            a: (top if hot else psi.values[a]) for a, hot in zip(ids, mask)
-        }
-        phi = ZpMap(psi.p, values)
-        if predicate(g, phi):
-            if sum(mask) % 2 == 0:
-                even += 1
-            else:
-                odd += 1
-    return ConformalCount(even, odd)
+        if test([top if hot else v for v, hot in zip(base, mask)]):
+            counts[sum(mask) % 2] += 1
+    return ConformalCount(*counts)
 
 
-def _count_by_enumeration(g: Digraph, psi: ZpMap, enumerate_maps, max_states) -> ConformalCount:
-    even = odd = 0
-    for phi in enumerate_maps(g, psi.p, max_states):
-        if is_conformal(phi, psi):
-            if parity(phi) == "even":
-                even += 1
-            else:
-                odd += 1
-    return ConformalCount(even, odd)
+def _count_conformal(tuples, psi: tuple[int, ...], top: int) -> tuple[int, int]:
+    """(even, odd) counts of the code tuples equal to psi off their top
+    codes."""
+    counts = [0, 0]
+    n = len(psi)
+    for values in tuples:
+        hot = values.count(top)
+        if sum(map(eq, values, psi)) + hot == n:
+            counts[hot % 2] += 1
+    return counts[0], counts[1]
 
 
 def count_conformal_dual_flows(
@@ -289,10 +397,13 @@ def count_conformal_dual_flows(
             if 2 ** len(g.arcs) < p ** (len(g.vertices) - kappa(g))
             else "tension"
         )
+    ids = g.sorted_arc_ids
     if method == "subset":
-        return _count_by_subsets(g, psi, is_dual_flow, max_states)
+        solve = _potentials(g, g.arcs, ids, _zp(p))[1]
+        return _count_by_subsets(g, psi, lambda v: solve(v) is not None, max_states)
     if method == "tension":
-        return _count_by_enumeration(g, psi, enumerate_dual_flows, max_states)
+        tensions = _tension_tuples(g, p, ids, max_states)
+        return ConformalCount(*_count_conformal(tensions, psi.as_tuple(ids), p - 1))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -305,10 +416,12 @@ def count_conformal_flows(
         method = (
             "subset" if 2 ** len(g.arcs) < p ** cyclomatic_number(g) else "flow"
         )
+    ids = g.sorted_arc_ids
     if method == "subset":
-        return _count_by_subsets(g, psi, is_flow, max_states)
+        return _count_by_subsets(g, psi, _flow_test(g, g.arcs, ids, _zp(p)), max_states)
     if method == "flow":
-        return _count_by_enumeration(g, psi, enumerate_flows, max_states)
+        flows = _flow_tuples(g, p, max_states)
+        return ConformalCount(*_count_conformal(flows, psi.as_tuple(ids), p - 1))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -320,76 +433,46 @@ def _check_psi(g: Digraph, psi: ZpMap, p: int):
         raise ValueError("psi must avoid the maximal label p-1")
 
 
-def _tension_tuples(g: Digraph, p: int, ids: tuple[str, ...], max_states):
-    """Yield tension value tuples aligned with `ids`, without building
-    ZpMap objects; same order as enumerate_dual_flows."""
-    comps = connected_components(g)
-    free_vertices = sorted(v for comp in comps for v in comp[1:])
-    _check_states(p ** len(free_vertices), max_states)
-    vindex = {v: i for i, v in enumerate(free_vertices)}
-    roots = {comp[0] for comp in comps}
-    arc_slots = []
-    for a in ids:
-        arc = g.arc_by_id[a]
-        arc_slots.append(
-            (
-                vindex.get(arc.head, -1),
-                vindex.get(arc.tail, -1),
-            )
-        )
-    for assignment in product(range(p), repeat=len(free_vertices)):
-        yield tuple(
-            ((assignment[h] if h >= 0 else 0) - (assignment[t] if t >= 0 else 0))
-            % p
-            for h, t in arc_slots
-        )
-
-
-def _flow_tuples(g: Digraph, p: int, ids: tuple[str, ...], max_states):
-    for phi in enumerate_flows(g, p, max_states):
-        yield tuple(phi.values[a] for a in ids)
-
-
-def _aggregate_conformal(tuples, p: int, n_arcs: int, max_work: int | None):
-    """Signed distribution of maps over their conformal psi keys.
-
-    Each map adds (-1)^|hot| to every psi agreeing with it off its p-1
-    arcs; keys are integers in base p-1 and decoded at the end.
-    """
+def _conformal_sums(tuples, q: int, n: int, max_work: int | None) -> dict[int, int]:
+    """The packed table c(psi) of the code tuples of length n: each map
+    adds (-1)^|hot| at every psi agreeing with it off its top codes."""
     bound = DEFAULT_TERM_BOUND if max_work is None else max_work
-    base = p - 1
-    weights = [base**i for i in range(n_arcs)]
+    top = q - 1
+    weights = [q**i for i in range(n)]
+    box = [top**h for h in range(n + 1)]
     acc: dict[int, int] = {}
     work = 0
     for values in tuples:
-        key0 = 0
-        hot_weights = []
-        for v, w in zip(values, weights):
-            if v == base:
-                hot_weights.append(w)
-            else:
-                key0 += v * w
-        work += base ** len(hot_weights)
+        work += box[values.count(top)]
         if work > bound:
             raise BoundExceeded(f"conformal aggregation exceeds {bound} steps")
-        offsets = [key0]
-        for w in hot_weights:
-            offsets = [o + d * w for o in offsets for d in range(base)]
-        sign = -1 if len(hot_weights) % 2 else 1
-        for key in offsets:
-            s = acc.get(key, 0) + sign
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
-    table: dict[tuple[int, ...], int] = {}
+        key = sum(map(mul, values, weights))
+        acc[key] = acc.get(key, 0) + 1
+    for w in weights:
+        hot = [(key - top * w, c) for key, c in acc.items() if c and key // w % q == top]
+        # a fresh dict, rather than deleting in place, leaves no dead slots
+        acc = {key: c for key, c in acc.items() if c and key // w % q != top}
+        for key, c in hot:
+            for k in range(key, key + top * w, w):
+                acc[k] = acc.get(k, 0) - c
+    return {key: c for key, c in acc.items() if c}
+
+
+def _decode(acc: dict[int, int], q: int, n: int, values) -> dict[tuple, int]:
+    """Packed keys back to tuples of values[digit]."""
+    table = {}
     for key, c in acc.items():
         digits = []
-        for _ in range(n_arcs):
-            key, d = divmod(key, base)
-            digits.append(d)
+        for _ in range(n):
+            key, d = divmod(key, q)
+            digits.append(values[d])
         table[tuple(digits)] = c
     return table
+
+
+def _tension_sums(g: Digraph, p: int, max_states) -> dict[int, int]:
+    tensions = _tension_tuples(g, p, g.sorted_arc_ids, max_states)
+    return _conformal_sums(tensions, p, len(g.arcs), max_states)
 
 
 def coefficient_table(
@@ -401,20 +484,7 @@ def coefficient_table(
     Every tension contributes its sign to each psi that agrees with it off
     the arcs carrying p-1 (those arcs range freely over 0..p-2).
     """
-    if p == 2:
-        # base p-1 = 1: every psi key is the zero tuple
-        even = odd = 0
-        for values in _tension_tuples(g, 2, g.sorted_arc_ids, max_states):
-            if sum(1 for v in values if v == 1) % 2 == 0:
-                even += 1
-            else:
-                odd += 1
-        c = even - odd
-        return {(0,) * len(g.arcs): c} if c else {}
-    ids = g.sorted_arc_ids
-    return _aggregate_conformal(
-        _tension_tuples(g, p, ids, max_states), p, len(ids), max_states
-    )
+    return _decode(_tension_sums(g, p, max_states), p, len(g.arcs), _zp(p).label)
 
 
 def flow_conformal_table(
@@ -422,26 +492,17 @@ def flow_conformal_table(
 ) -> dict[tuple[int, ...], int]:
     """Like coefficient_table but aggregated over flows instead of
     tensions; used by the plane-duality report."""
-    ids = g.sorted_arc_ids
-    if p == 2:
-        even = odd = 0
-        for values in _flow_tuples(g, 2, ids, max_states):
-            if sum(1 for v in values if v == 1) % 2 == 0:
-                even += 1
-            else:
-                odd += 1
-        c = even - odd
-        return {(0,) * len(ids): c} if c else {}
-    return _aggregate_conformal(
-        _flow_tuples(g, p, ids, max_states), p, len(ids), max_states
-    )
+    n = len(g.arcs)
+    acc = _conformal_sums(_flow_tuples(g, p, max_states), p, n, max_states)
+    return _decode(acc, p, n, _zp(p).label)
 
 
 def find_nz_flow(g: Digraph, p: int, max_states: int | None = None) -> ZpMap | None:
-    """Brute-force witness search over the whole flow space."""
-    for phi in enumerate_flows(g, p, max_states):
-        if phi.is_nowhere_zero:
-            return phi
+    """Brute-force witness search: the first nowhere-zero flow in the order
+    of enumerate_flows."""
+    for values in _flow_tuples(g, p, max_states):
+        if all(values):
+            return ZpMap.from_tuple(p, g.sorted_arc_ids, values)
     return None
 
 
@@ -451,8 +512,9 @@ def has_nz_flow_brute(g: Digraph, p: int, max_states: int | None = None) -> bool
 
 def has_nz_flow_conformal(g: Digraph, p: int, max_states: int | None = None) -> bool:
     """Existence via conformal parity: some psi must have an even/odd
-    imbalance among its conformal tensions."""
-    return any(c != 0 for c in coefficient_table(g, p, max_states).values())
+    imbalance among its conformal tensions. Decided on the packed table
+    without decoding it."""
+    return bool(_tension_sums(g, p, max_states))
 
 
 def coloring_from_dual_flow(g: Digraph, phi: ZpMap) -> dict[str, int]:
@@ -463,9 +525,12 @@ def coloring_from_dual_flow(g: Digraph, phi: ZpMap) -> dict[str, int]:
     phi.check_domain(g)
     if not phi.is_nowhere_zero:
         raise PreconditionError("the map has a zero arc")
-    if not is_dual_flow(g, phi):
+    ids = g.sorted_arc_ids
+    vertices, solve = _potentials(g, g.arcs, ids, _zp(phi.p))
+    omega = solve(phi.as_tuple(ids))
+    if omega is None:
         raise PreconditionError("the map is not a dual flow")
-    return _potentials_from(g, phi)
+    return dict(zip(vertices, omega))
 
 
 def is_p_colorable(g: UndirectedGraph, p: int, max_states: int | None = None) -> bool:

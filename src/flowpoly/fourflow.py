@@ -15,6 +15,10 @@ per edge, the edge at position i of sorted_edge_ids at weight 3^i, holding
 the code 2a+b of the edge's exponent pair (a, b): adding a Klein element is
 XOR with its code. The top code 3, the pair (1,1), never occurs in a key;
 it expands to minus the sum of the basic codes 0, 1, 2: -(1 + y_e + x_e).
+
+The enumerations, tests and conformal table run on the same codes through
+the group-generic code tuples of flows: the table's packed keys hold one
+base-4 digit per edge, and the top code 3 is swept out as in flows.
 """
 
 from __future__ import annotations
@@ -22,13 +26,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import (
-    BoundExceeded,
-    DEFAULT_STATE_BOUND,
-    DEFAULT_TERM_BOUND,
-    VerificationError,
+from .errors import BoundExceeded, DEFAULT_TERM_BOUND, VerificationError
+from .flows import (
+    _Group,
+    _circulations,
+    _conformal_sums,
+    _count_conformal,
+    _decode,
+    _flow_test,
+    _potentials,
+    _tensions,
 )
-from .graphs import UndirectedGraph, connected_components, cyclomatic_number, kappa
+from .graphs import UndirectedGraph, kappa
 from .polynomials import Mono, Poly, mono_mul
 from .quotient import _fold_vertex_factors, _unpack
 
@@ -36,6 +45,21 @@ KleinPair = tuple[int, int]
 
 KLEIN = ((0, 0), (0, 1), (1, 0), (1, 1))
 KLEIN_BASIC = ((0, 0), (0, 1), (1, 0))  # the nowhere-(1,1) codomain
+
+
+def _klein_group() -> _Group:
+    """The group on the codes 2a+b of KLEIN. Code 2a+b carries the label
+    4a+b: the label difference 4(a-a') + (b-b') tells the code of the
+    difference, which is the XOR of the codes."""
+    label = (0, 1, 4, 5)
+    diff = [0] * 11
+    for x in range(4):
+        for y in range(4):
+            diff[label[x] - label[y]] = x ^ y
+    return _Group(label, tuple(diff))
+
+
+_KLEIN_GROUP = _klein_group()
 
 # evaluation points of the ideal's vanishing set, keyed by the nonzero
 # Klein element they encode: (a, b) = ((-1)^p1, (-1)^p2)
@@ -131,38 +155,20 @@ class PairQuotientPoly:
         return hash(self.poly)
 
 
-def _klein_add(a: KleinPair, b: KleinPair) -> KleinPair:
-    return ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2)
+def _codes(g: UndirectedGraph, phi: KleinMap) -> list[int]:
+    """phi's codes 2a+b over g.sorted_edge_ids."""
+    phi.check_domain(g)
+    return [KLEIN.index(phi[e]) for e in g.sorted_edge_ids]
+
+
+def _klein_maps(ids, tuples) -> list[KleinMap]:
+    return [KleinMap(dict(zip(ids, [KLEIN[c] for c in t]))) for t in tuples]
 
 
 def is_four_flow(g: UndirectedGraph, phi: KleinMap) -> bool:
     """Componentwise mod-2 conservation at every vertex; loops drop out."""
-    phi.check_domain(g)
-    for v in g.vertices:
-        total = (0, 0)
-        for e in g.edges_at(v):
-            if not e.is_loop:
-                total = _klein_add(total, tuple(phi[e.id]))
-        if total != (0, 0):
-            return False
-    return True
-
-
-def _klein_potentials(g: UndirectedGraph, phi: KleinMap) -> dict[str, KleinPair]:
-    omega: dict[str, KleinPair] = {}
-    for comp in connected_components(g):
-        root = comp[0]
-        omega[root] = (0, 0)
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for e in g.edges_at(v):
-                if not e.is_loop:
-                    w = e.other(v)
-                    if w not in omega:
-                        omega[w] = _klein_add(omega[v], tuple(phi[e.id]))
-                        stack.append(w)
-    return omega
+    codes = _codes(g, phi)
+    return _flow_test(g, g.edges, g.sorted_edge_ids, _KLEIN_GROUP)(codes)
 
 
 def is_dual_four_flow(g: UndirectedGraph, phi: KleinMap) -> bool:
@@ -170,38 +176,20 @@ def is_dual_four_flow(g: UndirectedGraph, phi: KleinMap) -> bool:
 
     No signs are needed because the group is self-inverse; loops must
     carry (0, 0)."""
-    phi.check_domain(g)
-    omega = _klein_potentials(g, phi)
-    for e in g.edges:
-        if tuple(phi[e.id]) != _klein_add(omega[e.u], omega[e.v]):
-            return False
-    return True
+    codes = _codes(g, phi)
+    return _potentials(g, g.edges, g.sorted_edge_ids, _KLEIN_GROUP)[1](codes) is not None
 
 
-def _check_states(count: int, max_states: int | None):
-    bound = DEFAULT_STATE_BOUND if max_states is None else max_states
-    if count > bound:
-        raise BoundExceeded(f"{count} states exceed the bound {bound}")
+def _klein_tensions(g: UndirectedGraph, ids, max_states):
+    return _tensions(g, [g.edge_by_id[e].ends() for e in ids], _KLEIN_GROUP, max_states)
 
 
 def enumerate_dual_four_flows(
     g: UndirectedGraph, max_states: int | None = None
 ) -> list[KleinMap]:
     """All 4^(|V|-kappa) Klein tensions via rooted potentials."""
-    comps = connected_components(g)
-    free_vertices = sorted(v for comp in comps for v in comp[1:])
-    _check_states(4 ** len(free_vertices), max_states)
-    roots = {comp[0] for comp in comps}
-    out = []
-    for assignment in product(KLEIN, repeat=len(free_vertices)):
-        omega = dict(zip(free_vertices, assignment))
-        for r in roots:
-            omega[r] = (0, 0)
-        values = {
-            e.id: _klein_add(omega[e.u], omega[e.v]) for e in g.edges
-        }
-        out.append(KleinMap(values))
-    return out
+    ids = [e.id for e in g.edges]
+    return _klein_maps(ids, _klein_tensions(g, ids, max_states))
 
 
 def enumerate_klein_circulations(
@@ -209,47 +197,18 @@ def enumerate_klein_circulations(
 ) -> list[KleinMap]:
     """All 4^(|E|-|V|+kappa) Klein flows: free values off a spanning
     forest, forest edges forced by conservation."""
-    _check_states(4 ** cyclomatic_number(g), max_states)
-    parent_edge: dict[str, str] = {}
-    order: list[str] = []
-    visited: set[str] = set()
-    for comp in connected_components(g):
-        root = comp[0]
-        visited.add(root)
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for e in sorted(g.edges_at(v), key=lambda e: e.id):
-                if not e.is_loop:
-                    w = e.other(v)
-                    if w not in visited:
-                        visited.add(w)
-                        parent_edge[w] = e.id
-                        queue.append(w)
-    forest_ids = set(parent_edge.values())
-    free_ids = [e for e in g.sorted_edge_ids if e not in forest_ids]
-    solve_order = [v for v in reversed(order) if v in parent_edge]
-    out = []
-    for assignment in product(KLEIN, repeat=len(free_ids)):
-        values: dict[str, KleinPair] = dict(zip(free_ids, assignment))
-        for v in solve_order:
-            eid = parent_edge[v]
-            total = (0, 0)
-            for e in g.edges_at(v):
-                if e.id != eid and not e.is_loop:
-                    total = _klein_add(total, values[e.id])
-            values[eid] = total  # self-inverse group: the negation is itself
-        out.append(KleinMap(values))
-    return out
+    flows = _circulations(g, g.edges, _KLEIN_GROUP, max_states)
+    return _klein_maps(g.sorted_edge_ids, flows)
 
 
 def find_nz_four_flow(
     g: UndirectedGraph, max_states: int | None = None
 ) -> KleinMap | None:
-    for phi in enumerate_klein_circulations(g, max_states):
-        if phi.is_nowhere_zero:
-            return phi
+    """The first nowhere-zero Klein flow in the order of
+    enumerate_klein_circulations."""
+    for codes in _circulations(g, g.edges, _KLEIN_GROUP, max_states):
+        if all(codes):
+            return _klein_maps(g.sorted_edge_ids, [codes])[0]
     return None
 
 
@@ -418,22 +377,9 @@ def four_flow_poly_eval(g: UndirectedGraph, assignment: dict[str, KleinPair]) ->
     return result
 
 
-def _klein_tension_tuples(g: UndirectedGraph, ids, max_states):
-    """Tension value tuples aligned with `ids`, Klein pairs encoded as
-    0..3 with 2*a + b."""
-    comps = connected_components(g)
-    free_vertices = sorted(v for comp in comps for v in comp[1:])
-    _check_states(4 ** len(free_vertices), max_states)
-    vindex = {v: i for i, v in enumerate(free_vertices)}
-    slots = [
-        (vindex.get(g.edge_by_id[e].u, -1), vindex.get(g.edge_by_id[e].v, -1))
-        for e in ids
-    ]
-    for assignment in product(range(4), repeat=len(free_vertices)):
-        yield tuple(
-            (assignment[i] if i >= 0 else 0) ^ (assignment[j] if j >= 0 else 0)
-            for i, j in slots
-        )
+def _klein_sums(g: UndirectedGraph, max_states) -> dict[int, int]:
+    tensions = _klein_tensions(g, g.sorted_edge_ids, max_states)
+    return _conformal_sums(tensions, 4, len(g.edges), max_states)
 
 
 def four_flow_coefficient_table(
@@ -441,43 +387,7 @@ def four_flow_coefficient_table(
 ) -> dict[tuple[KleinPair, ...], int]:
     """c(psi) over the nowhere-(1,1) maps psi, keyed by value tuples over
     g.sorted_edge_ids; zero entries dropped."""
-    ids = g.sorted_edge_ids
-    n = len(ids)
-    bound = DEFAULT_TERM_BOUND if max_states is None else max_states
-    # encoded pairs: 0 (0,0), 1 (0,1), 2 (1,0), 3 (1,1); basics are 0..2
-    weights = [3**i for i in range(n)]
-    acc: dict[int, int] = {}
-    work = 0
-    for values in _klein_tension_tuples(g, ids, max_states):
-        key0 = 0
-        hot_weights = []
-        for v, w in zip(values, weights):
-            if v == 3:
-                hot_weights.append(w)
-            else:
-                key0 += v * w
-        work += 3 ** len(hot_weights)
-        if work > bound:
-            raise BoundExceeded(f"conformal aggregation exceeds {bound} steps")
-        offsets = [key0]
-        for w in hot_weights:
-            offsets = [o + d * w for o in offsets for d in range(3)]
-        sign = -1 if len(hot_weights) % 2 else 1
-        for key in offsets:
-            s = acc.get(key, 0) + sign
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
-    decode = {0: (0, 0), 1: (0, 1), 2: (1, 0)}
-    table: dict[tuple[KleinPair, ...], int] = {}
-    for key, c in acc.items():
-        digits = []
-        for _ in range(n):
-            key, d = divmod(key, 3)
-            digits.append(decode[d])
-        table[tuple(digits)] = c
-    return table
+    return _decode(_klein_sums(g, max_states), 4, len(g.edges), KLEIN)
 
 
 def conformal_pair_normal_form(
@@ -506,17 +416,10 @@ def count_conformal_dual_four_flows(
     g: UndirectedGraph, psi: KleinMap, max_states: int | None = None
 ) -> tuple[int, int]:
     """(even, odd) counts of psi-conformal Klein tensions."""
-    psi.check_domain(g)
+    codes = _codes(g, psi)
     if not psi.avoids_max:
         raise ValueError("psi must avoid (1,1)")
-    even = odd = 0
-    for phi in enumerate_dual_four_flows(g, max_states):
-        if is_conformal4(phi, psi):
-            if parity4(phi) == "even":
-                even += 1
-            else:
-                odd += 1
-    return even, odd
+    return _count_conformal(_klein_tensions(g, g.sorted_edge_ids, max_states), codes, 3)
 
 
 def has_nz_four_flow(
@@ -534,9 +437,7 @@ def has_nz_four_flow(
     if method == "membership":
         return bool(_klein_fold(g, max_terms))
     if method == "conformal":
-        return any(
-            c != 0 for c in four_flow_coefficient_table(g, max_states).values()
-        )
+        return bool(_klein_sums(g, max_states))
     if method == "brute":
         return find_nz_four_flow(g, max_states) is not None
     if method == "all":

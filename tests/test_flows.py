@@ -1,6 +1,9 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from families import (
     all_connected_multigraphs,
@@ -10,6 +13,7 @@ from families import (
     example_graph,
     path,
     petersen,
+    small_multigraphs,
     triangle,
 )
 from flowpoly.errors import BoundExceeded
@@ -22,6 +26,7 @@ from flowpoly.flows import (
     count_conformal_flows,
     enumerate_dual_flows,
     enumerate_flows,
+    has_nz_flow_conformal,
     is_conformal,
     is_dual_flow,
     is_flow,
@@ -296,6 +301,32 @@ class TestCoefficientTable:
                     psi = ZpMap.from_tuple(p, ids, combo)
                     counts = count_conformal_dual_flows(d, psi, p)
                     assert table.get(combo, 0) == counts.coefficient
+
+    @given(g=small_multigraphs(), p=st.integers(2, 4))
+    @settings(max_examples=120, deadline=None)
+    def test_equals_subset_counts_on_multigraphs(self, g, p):
+        # loops, parallel arcs, isolated vertices, several components
+        ids = g.sorted_arc_ids
+        expected = {}
+        for combo in product(range(p - 1), repeat=len(ids)):
+            psi = ZpMap.from_tuple(p, ids, combo)
+            c = count_conformal_dual_flows(g, psi, p, "subset").coefficient
+            if c:
+                expected[combo] = c
+        assert coefficient_table(g, p) == expected
+        assert has_nz_flow_conformal(g, p) == bool(expected)
+
+    def test_aggregation_bound(self):
+        # 27 tensions fit the bound of 30, their conformal boxes do not
+        d = default_orientation(complete(4))
+        with pytest.raises(BoundExceeded) as err:
+            coefficient_table(d, 3, max_states=30)
+        assert str(err.value) == "conformal aggregation exceeds 30 steps"
+
+    def test_decider_propagates_the_aggregation_bound(self):
+        d = default_orientation(complete(4))
+        with pytest.raises(BoundExceeded, match="^conformal aggregation exceeds 30 steps$"):
+            has_nz_flow_conformal(d, 3, max_states=30)
 
 
 class TestColoringFromDualFlow:

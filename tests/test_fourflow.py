@@ -265,6 +265,30 @@ class TestCoefficientTable:
                 even, odd = count_conformal_dual_four_flows(g, psi)
                 assert table.get(combo, 0) == even - odd
 
+    @given(g=small_multigraphs())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_per_psi_counts_on_multigraphs(self, g):
+        # loops, parallel edges, isolated vertices, several components
+        u = g.underlying()
+        ids = u.sorted_edge_ids
+        expected = {}
+        for combo in product(KLEIN[:3], repeat=len(ids)):
+            even, odd = count_conformal_dual_four_flows(u, KleinMap(dict(zip(ids, combo))))
+            if even != odd:
+                expected[combo] = even - odd
+        assert four_flow_coefficient_table(u) == expected
+        assert has_nz_four_flow(u, "conformal") == bool(expected)
+
+    def test_aggregation_bound(self):
+        # 64 tensions fit the bound of 70, their conformal boxes do not
+        with pytest.raises(BoundExceeded) as err:
+            four_flow_coefficient_table(complete(4), max_states=70)
+        assert str(err.value) == "conformal aggregation exceeds 70 steps"
+
+    def test_decider_propagates_the_aggregation_bound(self):
+        with pytest.raises(BoundExceeded, match="^conformal aggregation exceeds 70 steps$"):
+            has_nz_four_flow(complete(4), "conformal", max_states=70)
+
     def test_main_identity_triangle(self):
         assert four_flow_polynomial_normal_form(
             triangle()
