@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 import traceback
+from itertools import product
 
 from . import __version__
 from .embedding import plane_dual
@@ -26,6 +27,7 @@ from .errors import (
 )
 from .flows import (
     ZpMap,
+    _dual_count_methods,
     count_conformal_dual_flows,
     count_conformal_flows,
     enumerate_dual_flows,
@@ -292,12 +294,10 @@ def _verify_checks(args):
 
     n_assignments = (p - 1) ** len(g.arcs)
     if n_assignments <= 4096:
-        from itertools import product as _product
-
         ids = g.sorted_arc_ids
         ok = True
         pv = p ** len(g.vertices)
-        for combo in _product(range(1, p), repeat=len(ids)):
+        for combo in product(range(1, p), repeat=len(ids)):
             phi = ZpMap.from_tuple(p, ids, combo)
             value = flow_poly_eval(g, dict(phi.values), p).as_int()
             if value not in (0, pv) or value != surplus_eval(g, phi):
@@ -307,28 +307,11 @@ def _verify_checks(args):
     else:
         yield ("evaluation-dichotomy", True, "skipped (too many points)")
 
-    ids = g.sorted_arc_ids
-    if n_assignments <= 256:
-        from itertools import product as _product
-
-        ok = True
-        for combo in _product(range(p - 1), repeat=len(ids)):
-            psi = ZpMap.from_tuple(p, ids, combo)
-            a = count_conformal_dual_flows(g, psi, p, "subset", bound)
-            b = count_conformal_dual_flows(g, psi, p, "tension", bound)
-            if (a.even, a.odd) != (b.even, b.odd):
-                ok = False
-                break
-        yield ("conformal-count-methods", ok, f"{n_assignments} psi checked")
-    else:
-        psi = ZpMap(p, {a: 0 for a in ids})
-        a = count_conformal_dual_flows(g, psi, p, "subset", bound)
-        b = count_conformal_dual_flows(g, psi, p, "tension", bound)
-        yield (
-            "conformal-count-methods",
-            (a.even, a.odd) == (b.even, b.odd),
-            "psi = 0 only",
-        )
+    few = n_assignments <= 256  # else psi = 0 only
+    psis = list(product(range(p - 1 if few else 1), repeat=len(g.arcs)))
+    by_subsets, by_tensions = _dual_count_methods(g, p, psis, bound)
+    detail = f"{n_assignments} psi checked" if few else "psi = 0 only"
+    yield ("conformal-count-methods", by_subsets == by_tensions, detail)
 
     report = check_coloring_correspondence(g.underlying(), p, max_states=bound)
     yield (

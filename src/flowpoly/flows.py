@@ -356,29 +356,36 @@ def is_conformal(phi: ZpMap, psi: ZpMap) -> bool:
     )
 
 
-def _count_by_subsets(g: Digraph, psi: ZpMap, test, max_states) -> ConformalCount:
-    """Raise every subset of the arcs to p-1 in psi and test the result."""
-    ids = g.sorted_arc_ids
-    _check_states(2 ** len(ids), max_states)
-    top = psi.p - 1
-    base = psi.as_tuple(ids)
+def _count_by_subsets(base: tuple[int, ...], top: int, test, max_states) -> tuple[int, int]:
+    """(even, odd) counts of the subsets of base raised to top that pass the test."""
+    _check_states(2 ** len(base), max_states)
     counts = [0, 0]
-    for mask in product((False, True), repeat=len(ids)):
+    for mask in product((False, True), repeat=len(base)):
         if test([top if hot else v for v, hot in zip(base, mask)]):
             counts[sum(mask) % 2] += 1
-    return ConformalCount(*counts)
+    return counts[0], counts[1]
 
 
-def _count_conformal(tuples, psi: tuple[int, ...], top: int) -> tuple[int, int]:
-    """(even, odd) counts of the code tuples equal to psi off their top
-    codes."""
-    counts = [0, 0]
-    n = len(psi)
+def _count_conformal(tuples, psis, top: int) -> list[tuple[int, int]]:
+    """(even, odd) counts of the code tuples equal to psi off their top codes, per psi."""
+    counts = [[0, 0] for _ in psis]
     for values in tuples:
         hot = values.count(top)
-        if sum(map(eq, values, psi)) + hot == n:
-            counts[hot % 2] += 1
-    return counts[0], counts[1]
+        for psi, c in zip(psis, counts):
+            if sum(map(eq, values, psi)) + hot == len(psi):
+                c[hot % 2] += 1
+    return [(even, odd) for even, odd in counts]
+
+
+def _dual_count_methods(g: Digraph, p: int, psis, max_states):
+    """The "subset" and "tension" counts of count_conformal_dual_flows for
+    each psi value tuple over g.sorted_arc_ids in psis, with the potential
+    solver built and the tensions enumerated once for all of them."""
+    ids = g.sorted_arc_ids
+    solve = _potentials(g, g.arcs, ids, _zp(p))[1]
+    test = lambda v: solve(v) is not None
+    subset = [_count_by_subsets(psi, p - 1, test, max_states) for psi in psis]
+    return subset, _count_conformal(_tension_tuples(g, p, ids, max_states), psis, p - 1)
 
 
 def count_conformal_dual_flows(
@@ -400,10 +407,11 @@ def count_conformal_dual_flows(
     ids = g.sorted_arc_ids
     if method == "subset":
         solve = _potentials(g, g.arcs, ids, _zp(p))[1]
-        return _count_by_subsets(g, psi, lambda v: solve(v) is not None, max_states)
+        test = lambda v: solve(v) is not None
+        return ConformalCount(*_count_by_subsets(psi.as_tuple(ids), p - 1, test, max_states))
     if method == "tension":
         tensions = _tension_tuples(g, p, ids, max_states)
-        return ConformalCount(*_count_conformal(tensions, psi.as_tuple(ids), p - 1))
+        return ConformalCount(*_count_conformal(tensions, [psi.as_tuple(ids)], p - 1)[0])
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -418,10 +426,11 @@ def count_conformal_flows(
         )
     ids = g.sorted_arc_ids
     if method == "subset":
-        return _count_by_subsets(g, psi, _flow_test(g, g.arcs, ids, _zp(p)), max_states)
+        test = _flow_test(g, g.arcs, ids, _zp(p))
+        return ConformalCount(*_count_by_subsets(psi.as_tuple(ids), p - 1, test, max_states))
     if method == "flow":
         flows = _flow_tuples(g, p, max_states)
-        return ConformalCount(*_count_conformal(flows, psi.as_tuple(ids), p - 1))
+        return ConformalCount(*_count_conformal(flows, [psi.as_tuple(ids)], p - 1)[0])
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -15,6 +15,9 @@ per edge, the edge at position i of sorted_edge_ids at weight 3^i, holding
 the code 2a+b of the edge's exponent pair (a, b): adding a Klein element is
 XOR with its code. The top code 3, the pair (1,1), never occurs in a key;
 it expands to minus the sum of the basic codes 0, 1, 2: -(1 + y_e + x_e).
+The fold skips and orders the vertices as in quotient, scaling by 4^kappa.
+PairQuotientPoly keeps its packed keys as QuotientPoly does; the conformal
+route re-encodes its table's base-4 codes, which lack the top code 3.
 
 The enumerations, tests and conformal table run on the same codes through
 the group-generic code tuples of flows: the table's packed keys hold one
@@ -39,7 +42,7 @@ from .flows import (
 )
 from .graphs import UndirectedGraph, kappa
 from .polynomials import Mono, Poly, mono_mul
-from .quotient import _fold_vertex_factors, _unpack
+from .quotient import _fold_vertex_factors, _packed_form, _repack, _same_terms, _unpack
 
 KleinPair = tuple[int, int]
 
@@ -109,16 +112,15 @@ class KleinMap:
             raise ValueError("map domain does not match the graph's edge set")
 
 
-@dataclass(frozen=True)
 class PairQuotientPoly:
-    """Normal form over the pair basis: no edge carries the (1,1) pair."""
+    """Normal form over the pair basis: no edge carries the (1,1) pair.
 
-    edges: tuple[str, ...]
-    poly: Poly
+    Built by the fold or the conformal route, it keeps their packed keys
+    over `edges`, and `poly` decodes them on first use."""
 
-    def __post_init__(self):
-        universe = set(self.edges)
-        for mono, _ in self.poly.items():
+    def __init__(self, edges: tuple[str, ...], poly: Poly):
+        universe = set(edges)
+        for mono, _ in poly.items():
             exps: dict[str, list[int]] = {}
             for (kind, edge), exp in mono:
                 if edge not in universe:
@@ -129,10 +131,19 @@ class PairQuotientPoly:
             for edge, (r1, r2) in exps.items():
                 if (r1, r2) == (1, 1):
                     raise ValueError(f"edge {edge!r} carries the (1,1) pair")
+        self.edges, self._packed, self._poly = edges, None, poly
+
+    @property
+    def poly(self) -> Poly:
+        if self._poly is None:
+            xs = [(None, None, (xvar(e), 1)) for e in self.edges]  # code 2a+b: 2 is x_e
+            ys = [(None, (yvar(e), 1), None) for e in self.edges]
+            self._poly = Poly(_unpack(self._packed, 3, [xs, ys]))
+        return self._poly
 
     @property
     def is_zero(self) -> bool:
-        return self.poly.is_zero
+        return self.poly.is_zero if self._packed is None else not self._packed
 
     def coefficient(self, psi: "KleinMap") -> int:
         exps = {}
@@ -149,10 +160,13 @@ class PairQuotientPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PairQuotientPoly):
             return NotImplemented
-        return self.poly == other.poly
+        return _same_terms(self, other, self.edges, other.edges)
 
     def __hash__(self):
         return hash(self.poly)
+
+    def __repr__(self) -> str:
+        return f"PairQuotientPoly(edges={self.edges!r}, poly={self.poly!r})"
 
 
 def _codes(g: UndirectedGraph, phi: KleinMap) -> list[int]:
@@ -327,11 +341,7 @@ def four_flow_polynomial_normal_form(
     (X + 1)(Y + 1) adds each Klein element to the pair of every non-loop
     edge at the vertex, an XOR on the codes. The unreduced expansion never
     exists."""
-    acc = _klein_fold(g, max_terms)
-    ids = g.sorted_edge_ids
-    xs = [(None, None, (xvar(e), 1)) for e in ids]  # code 2a+b: 2 is x_e
-    ys = [(None, (yvar(e), 1), None) for e in ids]
-    return PairQuotientPoly(ids, Poly(_unpack(acc, 3, [xs, ys])))
+    return _packed_form(PairQuotientPoly, _klein_fold(g, max_terms), edges=g.sorted_edge_ids)
 
 
 def _klein_fold(g: UndirectedGraph, max_terms: int | None) -> dict[int, int]:
@@ -396,20 +406,8 @@ def conformal_pair_normal_form(
     """Normal form rebuilt from the coefficient table: 4^kappa times the
     basic-monomial sum."""
     ids = g.sorted_edge_ids
-    scale = 4 ** kappa(g)
-    table = four_flow_coefficient_table(g, max_states)
-
-    def exps_of(key):
-        exps = {}
-        for e, (r1, r2) in zip(ids, key):
-            if r1:
-                exps[xvar(e)] = 1
-            if r2:
-                exps[yvar(e)] = 1
-        return exps
-
-    poly = Poly.from_terms((exps_of(k), scale * c) for k, c in table.items())
-    return PairQuotientPoly(ids, poly)
+    acc = _klein_sums(g, max_states)
+    return _packed_form(PairQuotientPoly, _repack(acc, 4, len(ids), 4 ** kappa(g)), edges=ids)
 
 
 def count_conformal_dual_four_flows(
@@ -419,7 +417,7 @@ def count_conformal_dual_four_flows(
     codes = _codes(g, psi)
     if not psi.avoids_max:
         raise ValueError("psi must avoid (1,1)")
-    return _count_conformal(_klein_tensions(g, g.sorted_edge_ids, max_states), codes, 3)
+    return _count_conformal(_klein_tensions(g, g.sorted_edge_ids, max_states), [codes], 3)[0]
 
 
 def has_nz_four_flow(

@@ -11,43 +11,57 @@ The normal form folds on packed keys: a basic monomial is one integer with
 a radix-(p-1) digit per arc, the exponent of the arc at position i of
 sorted_arc_ids at weight (p-1)^i. The top digit p-1 never occurs in a key;
 it expands to minus the sum of the basic digits 0..p-2, as above.
+
+The fold skips the vertex of most non-loop arcs (then least id) in each
+component and scales by p^kappa: conservation at the other vertices of a
+component implies it there, so on the vanishing set its factor is p where
+theirs are nonzero. The rest go in greedy frontier order (Sekine, Imai and
+Tani, ISAAC 1995): next, the vertex leaving the fewest arcs with exactly
+one end folded, then the one of most arcs, then the least id.
+
+QuotientPoly keeps the packed keys it is built from, so `is_zero` and `==`
+compare keys and `.poly` decodes them on first use. The conformal route
+re-encodes its table's base-p keys, which lack the top digit, in radix p-1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 from .cyclotomic import CyclotomicInt, cyclotomic_eval
 from .errors import BoundExceeded, DEFAULT_TERM_BOUND, PreconditionError
-from .flows import ZpMap, coefficient_table, is_flow
-from .graphs import Digraph, kappa
+from .flows import ZpMap, _tension_sums, is_flow
+from .graphs import Digraph, connected_components, kappa
 from .polynomials import Mono, Poly, mono_mul
 
 
-@dataclass(frozen=True)
 class QuotientPoly:
-    """A normal-form representative: exponents per arc lie in 0..p-2."""
+    """A normal-form representative: exponents per arc lie in 0..p-2.
 
-    p: int
-    arcs: tuple[str, ...]
-    poly: Poly
+    Built by the fold or the conformal route, it keeps their packed keys
+    over `arcs`, and `poly` decodes them on first use."""
 
-    def __post_init__(self):
-        universe = set(self.arcs)
-        for mono, _ in self.poly.items():
+    def __init__(self, p: int, arcs: tuple[str, ...], poly: Poly):
+        universe = set(arcs)
+        for mono, _ in poly.items():
             for var, exp in mono:
                 if var not in universe:
                     raise ValueError(f"variable {var!r} outside the arc universe")
-                if not 0 < exp <= self.p - 2:
-                    raise ValueError(
-                        f"exponent {exp} of {var!r} not in 1..{self.p - 2}"
-                    )
+                if not 0 < exp <= p - 2:
+                    raise ValueError(f"exponent {exp} of {var!r} not in 1..{p - 2}")
+        self.p, self.arcs, self._packed, self._poly = p, arcs, None, poly
+
+    @property
+    def poly(self) -> Poly:
+        if self._poly is None:
+            pairs = [[None] + [(a, d) for d in range(1, self.p - 1)] for a in self.arcs]
+            self._poly = Poly(_unpack(self._packed, self.p - 1, [pairs]))
+        return self._poly
 
     @property
     def is_zero(self) -> bool:
-        return self.poly.is_zero
+        return self.poly.is_zero if self._packed is None else not self._packed
 
     def coefficient(self, psi: dict[str, int]) -> int:
         return self.poly.coefficient(psi)
@@ -58,10 +72,27 @@ class QuotientPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuotientPoly):
             return NotImplemented
-        return self.p == other.p and self.poly == other.poly
+        return self.p == other.p and _same_terms(self, other, self.arcs, other.arcs)
 
     def __hash__(self):
         return hash((self.p, self.poly))
+
+    def __repr__(self) -> str:
+        return f"QuotientPoly(p={self.p}, arcs={self.arcs!r}, poly={self.poly!r})"
+
+
+def _packed_form(cls, packed: dict[int, int], **fields):
+    """A normal form of class cls that holds packed keys, decoded on first use."""
+    form = cls.__new__(cls)
+    vars(form).update(fields, _packed=packed, _poly=None)
+    return form
+
+
+def _same_terms(f1, f2, universe1, universe2) -> bool:
+    """Equal terms, on the packed keys if both forms have them over one universe."""
+    if f1._packed is None or f2._packed is None or universe1 != universe2:
+        return f1.poly == f2.poly
+    return f1._packed == f2._packed
 
 
 def reduce_power(p: int, exponent: int, var: str = "x") -> QuotientPoly:
@@ -165,19 +196,31 @@ def _fold_vertex_factors(
 
     Vertex v's factor sums, over the q group elements k, the monomial that
     moves the digit d of each non-loop arc at v to shift(d, k, sign), with
-    sign +1 at the arc's head and -1 at its tail; loops drop out. Vertices
-    of most arcs go first (ties by id), while the accumulator is small.
+    sign +1 at the arc's head and -1 at its tail; loops drop out. The
+    skipped vertices start the accumulator at q^kappa; see the module doc.
     """
     r = q - 1
     weight = {a: r**i for i, a in enumerate(ids)}
     stars: dict[str, list[tuple[int, int]]] = {v: [] for v in g.vertices}
+    near: dict[str, list[str]] = {v: [] for v in g.vertices}
     for rec in records:
         tail, head = rec.ends()
         if tail != head:
             stars[tail].append((weight[rec.id], -1))
             stars[head].append((weight[rec.id], 1))
-    order = sorted(g.vertices, key=lambda v: (-len(stars[v]), v))
-    acc = {0: 1}
+            near[tail].append(head)
+            near[head].append(tail)
+    comps = connected_components(g)
+    left = set(g.vertices) - {min(c, key=lambda v: (-len(near[v]), v)) for c in comps}
+    order, closed = [], dict.fromkeys(g.vertices, 0)
+    while left:
+        # folding v opens its arcs to unfolded ends and closes the others
+        v = min(left, key=lambda v: (len(near[v]) - 2 * closed[v], -len(near[v]), v))
+        left.remove(v)
+        order.append(v)
+        for w in near[v]:
+            closed[w] += 1
+    acc = {0: q ** len(comps)}
     for step, v in enumerate(order, 1):
         star = stars[v]
         where = f"{stage} normal form exceeds {max_terms} terms at vertex {step} of {len(order)}"
@@ -242,16 +285,20 @@ def _unpack(acc: dict[int, int], r: int, columns) -> dict[Mono, int]:
     return terms
 
 
+def _repack(acc: dict[int, int], q: int, n: int, scale: int) -> dict[int, int]:
+    """Base-q keys of n digits without the top digit q-1, such as a
+    conformal table's, as radix-(q-1) keys, each coefficient times scale."""
+    weights = [(q**i, (q - 1) ** i) for i in range(n)]
+    return {sum(key // a % q * b for a, b in weights): c * scale for key, c in acc.items()}
+
+
 def flow_polynomial_normal_form(
     g: Digraph, p: int, max_terms: int | None = None
 ) -> QuotientPoly:
     """Normal form of the flow polynomial, folded vertex by vertex on packed
     keys: k in Z_p adds to the exponent of each arc entering the vertex and
     subtracts from each leaving it; the unreduced expansion never exists."""
-    acc = _zp_fold(g, p, max_terms)
-    ids = g.sorted_arc_ids
-    pairs = [[None] + [(a, d) for d in range(1, p - 1)] for a in ids]
-    return QuotientPoly(p, ids, Poly(_unpack(acc, p - 1, [pairs])))
+    return _packed_form(QuotientPoly, _zp_fold(g, p, max_terms), p=p, arcs=g.sorted_arc_ids)
 
 
 def _zp_fold(g: Digraph, p: int, max_terms: int | None) -> dict[int, int]:
@@ -276,15 +323,8 @@ def conformal_normal_form(
     times the sum of c(psi) over the basic monomials. Independent of the
     polynomial reduction route; the two must agree term by term."""
     ids = g.sorted_arc_ids
-    scale = p ** kappa(g)
-    table = coefficient_table(g, p, max_states)
-    poly = Poly.from_terms(
-        (
-            ({a: e for a, e in zip(ids, key) if e}, scale * c)
-            for key, c in table.items()
-        )
-    )
-    return QuotientPoly(p, ids, poly)
+    acc = _tension_sums(g, p, max_states)
+    return _packed_form(QuotientPoly, _repack(acc, p, len(ids), p ** kappa(g)), p=p, arcs=ids)
 
 
 def surplus_eval(g: Digraph, phi: ZpMap) -> int:

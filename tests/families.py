@@ -59,6 +59,13 @@ def complete(n: int) -> UndirectedGraph:
     )
 
 
+def diamond() -> UndirectedGraph:
+    """K4 minus one edge, as in corpus/diamond.g."""
+    return UndirectedGraph.build(
+        [("e1", "a", "b"), ("e2", "a", "c"), ("e3", "b", "c"), ("e4", "b", "d"), ("e5", "c", "d")]
+    )
+
+
 def bowtie_graph() -> UndirectedGraph:
     return UndirectedGraph.build(
         [("e1", "a", "b"), ("e2", "a", "c"), ("e3", "b", "c"),

@@ -6,6 +6,7 @@ from families import (
     all_connected_multigraphs,
     complete,
     default_orientation,
+    diamond,
     disjoint_union,
     example_graph,
     parallel,
@@ -21,6 +22,7 @@ from flowpoly.errors import BoundExceeded
 from flowpoly.fourflow import (
     KLEIN,
     KleinMap,
+    PairQuotientPoly,
     conformal_pair_normal_form,
     count_conformal_dual_four_flows,
     enumerate_dual_four_flows,
@@ -177,16 +179,54 @@ class TestNormalFormBound:
     def test_message_names_stage_and_progress(self):
         with pytest.raises(BoundExceeded) as err:
             four_flow_polynomial_normal_form(complete(4), max_terms=30)
-        assert str(err.value) == "Klein normal form exceeds 30 terms at vertex 2 of 4"
+        assert str(err.value) == "Klein normal form exceeds 30 terms at vertex 2 of 3"
 
     def test_expansion_checked_before_it_is_built(self):
         # the (1,1) element on 14 parallel edges would expand to 3^14 terms
-        with pytest.raises(BoundExceeded, match="vertex 1 of 2: one term expands"):
+        with pytest.raises(BoundExceeded, match="vertex 1 of 1: one term expands"):
             four_flow_polynomial_normal_form(parallel(14), max_terms=100)
 
     def test_membership_propagates(self):
         with pytest.raises(BoundExceeded):
             has_nz_four_flow(complete(4), "membership", max_terms=10)
+
+    def test_frontier_order_stays_under_the_bound(self):
+        # the diamond's accumulator peaks at 185 terms when all four vertices
+        # fold by most edges first, at 156 when three do, and at 141 in
+        # frontier order
+        assert len(four_flow_polynomial_normal_form(diamond(), max_terms=150).poly) == 136
+
+
+class TestPairQuotientPolyChecks:
+    def test_unknown_edge(self):
+        with pytest.raises(ValueError, match="variable for 'f' outside the universe"):
+            PairQuotientPoly(("e",), Poly.variable(xvar("f")))
+
+    def test_exponent_other_than_one(self):
+        with pytest.raises(ValueError, match="exponent 2 not reduced"):
+            PairQuotientPoly(("e",), Poly.variable(yvar("e"), 2))
+
+    def test_the_one_one_pair(self):
+        with pytest.raises(ValueError, match=r"edge 'e' carries the \(1,1\) pair"):
+            PairQuotientPoly(("e",), Poly.monomial({xvar("e"): 1, yvar("e"): 1}))
+
+
+class TestPackedNormalForms:
+    @given(g=small_multigraphs(), h=small_multigraphs())
+    @settings(max_examples=120, deadline=None)
+    def test_equality_and_hash_match_the_polynomials(self, g, h):
+        u = g.underlying()
+        nf = four_flow_polynomial_normal_form(u)
+        forms = [nf, conformal_pair_normal_form(u)]
+        forms += [four_flow_polynomial_normal_form(h.underlying())]
+        forms.append(PairQuotientPoly(nf.edges, nf.poly))
+        # the same packed keys over other edge ids
+        renamed = UndirectedGraph.build([("f" + e.id, *e.ends()) for e in u.edges], u.vertices)
+        forms.append(four_flow_polynomial_normal_form(renamed))
+        for f1, f2 in product(forms, repeat=2):
+            assert (f1 == f2) == (f1.poly == f2.poly)
+            if f1 == f2:
+                assert hash(f1) == hash(f2)
 
 
 class TestHasNzFourFlow:

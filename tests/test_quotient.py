@@ -8,6 +8,7 @@ from families import (
     all_connected_multigraphs,
     complete,
     default_orientation,
+    diamond,
     directed_cycle,
     disjoint_union,
     example_graph,
@@ -21,6 +22,7 @@ from flowpoly.flows import ZpMap
 from flowpoly.graphs import Digraph, orient
 from flowpoly.polynomials import Poly
 from flowpoly.quotient import (
+    QuotientPoly,
     conformal_normal_form,
     eval_at_map,
     flow_poly_eval,
@@ -246,17 +248,52 @@ class TestNormalFormBound:
         g = default_orientation(complete(4))
         with pytest.raises(BoundExceeded) as err:
             flow_polynomial_normal_form(g, 4, max_terms=200)
-        assert str(err.value) == "Z_4 normal form exceeds 200 terms at vertex 3 of 4"
+        assert str(err.value) == "Z_4 normal form exceeds 200 terms at vertex 3 of 3"
 
     def test_expansion_checked_before_it_is_built(self):
         # one arc leaving a vertex at p=10**6 would expand to 999999 terms
         g = Digraph.build([("e1", "u", "v"), ("e2", "v", "u")])
-        with pytest.raises(BoundExceeded, match="vertex 1 of 2: one term expands"):
+        with pytest.raises(BoundExceeded, match="vertex 1 of 1: one term expands"):
             flow_polynomial_normal_form(g, 10**6, max_terms=100)
 
     def test_membership_propagates(self):
         with pytest.raises(BoundExceeded):
             has_nz_flow_membership(default_orientation(complete(4)), 5, max_terms=10)
+
+    def test_frontier_order_stays_under_the_bound(self):
+        # the diamond's accumulator peaks at 210 terms when all four vertices
+        # fold by most arcs first, at 180 when three do, and at the final 176
+        # in frontier order
+        g = default_orientation(diamond())
+        assert len(flow_polynomial_normal_form(g, 4, max_terms=176).poly) == 176
+
+
+class TestQuotientPolyChecks:
+    def test_variable_outside_the_arcs(self):
+        with pytest.raises(ValueError, match="outside the arc universe"):
+            QuotientPoly(3, ("a",), Poly.variable("b"))
+
+    @pytest.mark.parametrize("exp", [0, 2, 3])
+    def test_exponent_outside_the_basis(self, exp):
+        # p=3 allows exponent 1 only; Poly takes the zero exponent unchecked
+        with pytest.raises(ValueError, match=rf"exponent {exp} of 'a' not in 1\.\.1"):
+            QuotientPoly(3, ("a",), Poly({(("a", exp),): 1}))
+
+
+class TestPackedNormalForms:
+    @given(g=small_multigraphs(), h=small_multigraphs(), p=st.sampled_from((2, 3, 4, 5)))
+    @settings(max_examples=120, deadline=None)
+    def test_equality_and_hash_match_the_polynomials(self, g, h, p):
+        nf = flow_polynomial_normal_form(g, p)
+        forms = [nf, conformal_normal_form(g, p), flow_polynomial_normal_form(h, p)]
+        forms.append(QuotientPoly(p, nf.arcs, nf.poly))
+        # the same packed keys over other arc ids
+        renamed = Digraph.build([("f" + a.id, a.tail, a.head) for a in g.arcs], g.vertices)
+        forms.append(flow_polynomial_normal_form(renamed, p))
+        for f1, f2 in product(forms, repeat=2):
+            assert (f1 == f2) == (f1.poly == f2.poly)
+            if f1 == f2:
+                assert hash(f1) == hash(f2)
 
 
 class TestEvaluation:
