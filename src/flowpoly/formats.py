@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 from .embedding import End, RotationSystem
 from .errors import GraphFormatError
-from .fourflow import KleinMap, PairQuotientPoly, xvar, yvar
+from .fourflow import KleinMap, PairQuotientPoly
 from .graphs import Digraph, UndirectedGraph
-from .polynomials import Poly
 from .quotient import QuotientPoly
 
 _ID = re.compile(r"^[A-Za-z0-9_]+$")
@@ -144,8 +143,10 @@ def parse_zp_map(text: str) -> "ZpMap":
 
     text = text.strip()
     if text.startswith("{"):
-        data = json.loads(text)
-        return ZpMap(int(data["p"]), {k: int(v) for k, v in data["values"].items()})
+        data = _json_map(text, ("p", "values"), _is_int)
+        if not _is_int(data["p"]):
+            raise GraphFormatError(f"bad p {data['p']!r}")
+        return ZpMap(data["p"], data["values"])
     parts = [chunk.strip() for chunk in text.split(";") if chunk.strip()]
     p = None
     values = {}
@@ -172,89 +173,71 @@ def zp_map_to_json(m) -> dict:
 
 
 def parse_klein_map(text: str) -> KleinMap:
-    data = json.loads(text)
+    is_pair = lambda v: isinstance(v, list) and all(map(_is_int, v))
+    data = _json_map(text, ("values",), is_pair)
     return KleinMap({k: tuple(v) for k, v in data["values"].items()})
+
+
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+def _json_map(text: str, keys: tuple[str, ...], is_value) -> dict:
+    """A JSON map document, checked to be an object with these keys whose
+    "values" object holds only values passing is_value."""
+    data = json.loads(text)
+    if not isinstance(data, dict) or any(k not in data for k in keys):
+        raise GraphFormatError(f"a JSON map is an object with keys {', '.join(keys)}")
+    if not isinstance(data["values"], dict):
+        raise GraphFormatError('the "values" of a JSON map must be an object')
+    for k, v in data["values"].items():
+        if not is_value(v):
+            raise GraphFormatError(f"bad value {v!r} for {k!r}")
+    return data
 
 
 def klein_map_to_json(m: KleinMap) -> dict:
     return {"values": {e: list(m.values[e]) for e in sorted(m.values)}}
 
 
-def quotient_poly_to_json(q: QuotientPoly) -> dict:
-    arcs = q.arcs
-    terms = []
-    for mono, coeff in q.poly.sorted_terms(arcs):
-        terms.append(
-            {"coeff": str(coeff), "exps": {v: e for v, e in mono}}
-        )
-    return {"p": q.p, "terms": terms}
+def _terms_to_json(q, exp) -> list[dict]:
+    """Terms by ascending exponent vector; `exp` renders a digit."""
+    return [
+        {"coeff": str(c), "exps": {i: exp(d) for i, d in digits}}
+        for c, digits in q.digit_terms()
+    ]
 
 
-def poly_to_text(poly: Poly, variables: tuple[str, ...]) -> str:
-    """Human-readable form, terms by descending exponent vector."""
-    if poly.is_zero:
-        return "0"
+def _terms_to_text(q, factor) -> str:
+    """Terms by descending exponent vector; `factor` renders an id and its
+    nonzero digit."""
     bits = []
-    for mono, coeff in poly.sorted_terms(variables, reverse=True):
-        factors = "*".join(f"{v}^{e}" if e > 1 else v for v, e in mono)
-        mag = abs(coeff)
-        if factors:
-            body = factors if mag == 1 else f"{mag}*{factors}"
+    for c, digits in q.digit_terms(descending=True):
+        factors = [factor(i, d) for i, d in digits]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        body = "*".join(factors)
+        if bits:
+            bits.append(f"- {body}" if c < 0 else f"+ {body}")
         else:
-            body = str(mag)
-        if not bits:
-            bits.append(body if coeff > 0 else f"-{body}")
-        else:
-            bits.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(bits)
+            bits.append(f"-{body}" if c < 0 else body)
+    return " ".join(bits) if bits else "0"
+
+
+def quotient_poly_to_json(q: QuotientPoly) -> dict:
+    return {"p": q.p, "terms": _terms_to_json(q, lambda d: d)}
 
 
 def quotient_poly_to_text(q: QuotientPoly) -> str:
-    return poly_to_text(q.poly, q.arcs)
-
-
-def _pair_exps(mono) -> dict[str, list[int]]:
-    out: dict[str, list[int]] = {}
-    for (kind, edge), exp in mono:
-        out.setdefault(edge, [0, 0])[0 if kind == "x" else 1] = exp
-    return out
+    return _terms_to_text(q, lambda a, d: f"{a}^{d}" if d > 1 else a)
 
 
 def pair_poly_to_json(q: PairQuotientPoly) -> dict:
-    variables = tuple(
-        v for e in q.edges for v in (xvar(e), yvar(e))
-    )
-    terms = []
-    for mono, coeff in q.poly.sorted_terms(variables):
-        terms.append(
-            {
-                "coeff": str(coeff),
-                "exps": {e: pair for e, pair in sorted(_pair_exps(mono).items())},
-            }
-        )
-    return {"terms": terms}
+    return {"terms": _terms_to_json(q, lambda d: [d >> 1, d & 1])}
 
 
 def pair_poly_to_text(q: PairQuotientPoly) -> str:
-    variables = tuple(v for e in q.edges for v in (xvar(e), yvar(e)))
-    if q.poly.is_zero:
-        return "0"
-    bits = []
-    for mono, coeff in q.poly.sorted_terms(variables, reverse=True):
-        names = []
-        for (kind, edge), exp in sorted(mono, key=lambda t: (t[0][1], t[0][0])):
-            names.append(f"{kind}_{edge}")
-        factors = "*".join(names)
-        mag = abs(coeff)
-        if factors:
-            body = factors if mag == 1 else f"{mag}*{factors}"
-        else:
-            body = str(mag)
-        if not bits:
-            bits.append(body if coeff > 0 else f"-{body}")
-        else:
-            bits.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(bits)
+    return _terms_to_text(q, lambda e, d: f"x_{e}" if d == 2 else f"y_{e}")
 
 
 def dump_json(obj) -> str:

@@ -11,13 +11,17 @@ Loops contribute both end slots to their vertex, hence nothing: they never
 obstruct a flow and force tension value (0, 0).
 
 The normal form folds on the packed keys of quotient, one radix-3 digit
-per edge, the edge at position i of sorted_edge_ids at weight 3^i, holding
-the code 2a+b of the edge's exponent pair (a, b): adding a Klein element is
-XOR with its code. The top code 3, the pair (1,1), never occurs in a key;
-it expands to minus the sum of the basic codes 0, 1, 2: -(1 + y_e + x_e).
-The fold skips and orders the vertices as in quotient, scaling by 4^kappa.
-PairQuotientPoly keeps its packed keys as QuotientPoly does; the conformal
-route re-encodes its table's base-4 codes, which lack the top code 3.
+per edge, the edge at position i of sorted_edge_ids at weight 3^(n-1-i)
+for n edges, holding the code 2a+b of the edge's exponent pair (a, b):
+adding a Klein element is XOR with its code. The first edge is the most
+significant digit, and code order is the lexicographic order of the pairs,
+so integer key order is the lexicographic exponent order over
+x_e1, y_e1, x_e2, ..., the order the normal forms print in. The top code 3,
+the pair (1,1), never occurs in a key; it expands to minus the sum of the
+basic codes 0, 1, 2: -(1 + y_e + x_e). The fold skips and orders the
+vertices as in quotient, scaling by 4^kappa. PairQuotientPoly holds only
+packed keys as QuotientPoly does; the conformal route re-encodes its
+table's base-4 codes, which lack the top code 3.
 
 The enumerations, tests and conformal table run on the same codes through
 the group-generic code tuples of flows: the table's packed keys hold one
@@ -27,9 +31,8 @@ base-4 digit per edge, and the top code 3 is swept out as in flows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .errors import BoundExceeded, DEFAULT_TERM_BOUND, VerificationError
+from .errors import DEFAULT_TERM_BOUND, VerificationError
 from .flows import (
     _Group,
     _circulations,
@@ -41,8 +44,8 @@ from .flows import (
     _tensions,
 )
 from .graphs import UndirectedGraph, kappa
-from .polynomials import Mono, Poly, mono_mul
-from .quotient import _fold_vertex_factors, _packed_form, _repack, _same_terms, _unpack
+from .polynomials import Poly
+from .quotient import _PackedForm, _fold_vertex_factors, _reduce_digits, _repack, _weights
 
 KleinPair = tuple[int, int]
 
@@ -112,38 +115,36 @@ class KleinMap:
             raise ValueError("map domain does not match the graph's edge set")
 
 
-class PairQuotientPoly:
-    """Normal form over the pair basis: no edge carries the (1,1) pair.
+class PairQuotientPoly(_PackedForm):
+    """Normal form over the pair basis: no edge carries the (1,1) pair."""
 
-    Built by the fold or the conformal route, it keeps their packed keys
-    over `edges`, and `poly` decodes them on first use."""
+    _fields = ("edges",)
 
     def __init__(self, edges: tuple[str, ...], poly: Poly):
-        universe = set(edges)
-        for mono, _ in poly.items():
-            exps: dict[str, list[int]] = {}
+        weight = dict(zip(edges, _weights(len(edges), 3)))
+        packed = {}
+        for mono, c in poly.items():
+            codes: dict[str, int] = {}
             for (kind, edge), exp in mono:
-                if edge not in universe:
+                if edge not in weight:
                     raise ValueError(f"variable for {edge!r} outside the universe")
                 if exp != 1:
                     raise ValueError(f"exponent {exp} not reduced")
-                exps.setdefault(edge, [0, 0])[0 if kind == "x" else 1] = exp
-            for edge, (r1, r2) in exps.items():
-                if (r1, r2) == (1, 1):
+                codes[edge] = codes.get(edge, 0) + (2 if kind == "x" else 1)
+            for edge, code in codes.items():
+                if code == 3:
                     raise ValueError(f"edge {edge!r} carries the (1,1) pair")
-        self.edges, self._packed, self._poly = edges, None, poly
+            packed[sum(code * weight[e] for e, code in codes.items())] = c
+        super().__init__(edges, 3, packed)
 
     @property
-    def poly(self) -> Poly:
-        if self._poly is None:
-            xs = [(None, None, (xvar(e), 1)) for e in self.edges]  # code 2a+b: 2 is x_e
-            ys = [(None, (yvar(e), 1), None) for e in self.edges]
-            self._poly = Poly(_unpack(self._packed, 3, [xs, ys]))
-        return self._poly
+    def edges(self) -> tuple[str, ...]:
+        return self._ids
 
-    @property
-    def is_zero(self) -> bool:
-        return self.poly.is_zero if self._packed is None else not self._packed
+    def _columns(self, ids):
+        xs = [(None, None, (xvar(e), 1)) for e in ids]  # code 2a+b: 2 is x_e
+        ys = [(None, (yvar(e), 1), None) for e in ids]
+        return [xs, ys]
 
     def coefficient(self, psi: "KleinMap") -> int:
         exps = {}
@@ -153,20 +154,6 @@ class PairQuotientPoly:
             if r2:
                 exps[yvar(e)] = 1
         return self.poly.coefficient(exps)
-
-    def scaled(self, c: int) -> "PairQuotientPoly":
-        return PairQuotientPoly(self.edges, self.poly * c)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PairQuotientPoly):
-            return NotImplemented
-        return _same_terms(self, other, self.edges, other.edges)
-
-    def __hash__(self):
-        return hash(self.poly)
-
-    def __repr__(self) -> str:
-        return f"PairQuotientPoly(edges={self.edges!r}, poly={self.poly!r})"
 
 
 def _codes(g: UndirectedGraph, phi: KleinMap) -> list[int]:
@@ -226,89 +213,32 @@ def find_nz_four_flow(
     return None
 
 
-def parity4(phi: KleinMap) -> str:
-    n = sum(1 for v in phi.values.values() if tuple(v) == (1, 1))
-    return "even" if n % 2 == 0 else "odd"
-
-
-def is_conformal4(phi: KleinMap, psi: KleinMap) -> bool:
-    if not psi.avoids_max:
-        raise ValueError("psi must avoid (1,1)")
-    if set(phi.values) != set(psi.values):
-        raise ValueError("phi and psi live on different edge sets")
-    return all(
-        tuple(phi.values[e]) in (tuple(psi.values[e]), (1, 1))
-        for e in phi.values
-    )
-
-
 def reduce_pair_power(x_exp: int, y_exp: int, edge: str = "e") -> PairQuotientPoly:
     """Normal form of x_e^m y_e^n for one edge."""
     if x_exp < 0 or y_exp < 0:
         raise ValueError("exponents must be >= 0")
-    r1, r2 = x_exp % 2, y_exp % 2
-    if (r1, r2) == (1, 1):
-        poly = Poly(
-            {((xvar(edge), 1),): -1, ((yvar(edge), 1),): -1, (): -1}
-        )
-    else:
-        exps = {}
-        if r1:
-            exps[xvar(edge)] = 1
-        if r2:
-            exps[yvar(edge)] = 1
-        poly = Poly.monomial(exps)
-    return PairQuotientPoly((edge,), poly)
+    return normalize_pair(Poly.monomial({xvar(edge): x_exp, yvar(edge): y_exp}), (edge,))
 
 
-def _reduce_pair_terms(terms, max_terms: int) -> dict[Mono, int]:
-    """Reduce arbitrary (mono, coeff) pairs over the pair basis."""
-    out: dict[Mono, int] = {}
-    for mono, coeff in terms:
-        pairs: dict[str, list[int]] = {}
-        for (kind, edge), exp in mono:
-            r = exp % 2
-            if r:
-                pairs.setdefault(edge, [0, 0])[0 if kind == "x" else 1] = r
-        base = []
-        hot = []  # edges whose reduced pair is (1,1)
-        for edge in sorted(pairs):
-            r1, r2 = pairs[edge]
-            if (r1, r2) == (1, 1):
-                hot.append(edge)
-            elif r1:
-                base.append((xvar(edge), 1))
-            else:
-                base.append((yvar(edge), 1))
-        base_mono = tuple(sorted(base))
-        contribution = -coeff if len(hot) % 2 else coeff
-        # (1,1) rewrites to -(x + y + 1): expand over the three basics
-        for combo in product(KLEIN_BASIC, repeat=len(hot)):
-            extra = []
-            for edge, (r1, r2) in zip(hot, combo):
-                if r1:
-                    extra.append((xvar(edge), 1))
-                if r2:
-                    extra.append((yvar(edge), 1))
-            m = mono_mul(base_mono, tuple(sorted(extra)))
-            s = out.get(m, 0) + contribution
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        if len(out) > max_terms:
-            raise BoundExceeded(f"normal form exceeds {max_terms} terms")
-    return out
+def _pair_codes(mono) -> dict[str, int]:
+    """The code 2a+b of each edge's exponent pair (a, b) mod 2, zeros dropped."""
+    codes: dict[str, int] = {}
+    for (kind, edge), exp in mono:
+        if exp % 2:
+            codes[edge] = codes.get(edge, 0) + (2 if kind == "x" else 1)
+    return codes
 
 
 def normalize_pair(
     f: Poly, edges: tuple[str, ...] | None = None, max_terms: int | None = None
 ) -> PairQuotientPoly:
+    """The pair-basis representative of f: the top code 3 of (1,1) expands
+    to -(1 + y_e + x_e)."""
     bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
-    reduced = _reduce_pair_terms(f.items(), bound)
     if edges is None:
         edges = tuple(sorted({v[1] for v in f.variables()}))
-    return PairQuotientPoly(tuple(edges), Poly(reduced))
+    terms = ((_pair_codes(mono), c) for mono, c in f.items())
+    return PairQuotientPoly._of(tuple(edges), 3, _reduce_digits(terms, edges, 3, bound))
 
 
 def _vertex_pair_factor(g: UndirectedGraph, v: str) -> Poly:
@@ -341,7 +271,7 @@ def four_flow_polynomial_normal_form(
     (X + 1)(Y + 1) adds each Klein element to the pair of every non-loop
     edge at the vertex, an XOR on the codes. The unreduced expansion never
     exists."""
-    return _packed_form(PairQuotientPoly, _klein_fold(g, max_terms), edges=g.sorted_edge_ids)
+    return PairQuotientPoly._of(g.sorted_edge_ids, 3, _klein_fold(g, max_terms))
 
 
 def _klein_fold(g: UndirectedGraph, max_terms: int | None) -> dict[int, int]:
@@ -407,7 +337,7 @@ def conformal_pair_normal_form(
     basic-monomial sum."""
     ids = g.sorted_edge_ids
     acc = _klein_sums(g, max_states)
-    return _packed_form(PairQuotientPoly, _repack(acc, 4, len(ids), 4 ** kappa(g)), edges=ids)
+    return PairQuotientPoly._of(ids, 3, _repack(acc, 4, len(ids), 4 ** kappa(g)))
 
 
 def count_conformal_dual_four_flows(

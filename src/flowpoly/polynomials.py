@@ -44,12 +44,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(out)
 
 
-def mono_sort_key(mono: Mono, variables: tuple) -> tuple:
-    """Dense exponent vector of `mono` over the given variable order."""
-    exps = dict(mono)
-    return tuple(exps.get(v, 0) for v in variables)
-
-
 class Poly:
     """Immutable-by-convention sparse polynomial over the integers."""
 
@@ -208,21 +202,18 @@ class Poly:
             total += v
         return total
 
-    def sorted_terms(self, variables: tuple | None = None, reverse: bool = False):
-        """Terms ordered lexicographically by dense exponent vector."""
-        if variables is None:
-            variables = tuple(sorted(self.variables()))
-        return sorted(
-            self.terms.items(),
-            key=lambda item: mono_sort_key(item[0], variables),
-            reverse=reverse,
-        )
-
     def __repr__(self) -> str:
         if self.is_zero:
             return "Poly(0)"
+        variables = sorted(self.variables())
+
+        def dense(item):
+            """The dense exponent vector over the sorted variables."""
+            exps = dict(item[0])
+            return [exps.get(v, 0) for v in variables]
+
         bits = []
-        for mono, coeff in self.sorted_terms(reverse=True):
+        for mono, coeff in sorted(self.terms.items(), key=dense, reverse=True):
             factors = "*".join(
                 f"{v}^{e}" if e > 1 else f"{v}" for v, e in mono
             )

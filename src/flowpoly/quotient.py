@@ -9,8 +9,11 @@ integers; the quotient's complex structure is never needed.
 
 The normal form folds on packed keys: a basic monomial is one integer with
 a radix-(p-1) digit per arc, the exponent of the arc at position i of
-sorted_arc_ids at weight (p-1)^i. The top digit p-1 never occurs in a key;
-it expands to minus the sum of the basic digits 0..p-2, as above.
+sorted_arc_ids at weight (p-1)^(n-1-i) for n arcs. The first arc is the
+most significant digit, so integer key order is the lexicographic exponent
+order, which is the order the normal forms print in. The top digit p-1
+never occurs in a key; it expands to minus the sum of the basic digits
+0..p-2, as above.
 
 The fold skips the vertex of most non-loop arcs (then least id) in each
 component and scales by p^kappa: conservation at the other vertices of a
@@ -19,121 +22,155 @@ theirs are nonzero. The rest go in greedy frontier order (Sekine, Imai and
 Tani, ISAAC 1995): next, the vertex leaving the fewest arcs with exactly
 one end folded, then the one of most arcs, then the least id.
 
-QuotientPoly keeps the packed keys it is built from, so `is_zero` and `==`
-compare keys and `.poly` decodes them on first use. The conformal route
-re-encodes its table's base-p keys, which lack the top digit, in radix p-1.
+A normal form holds only its packed keys, however it is built: the fold,
+the conformal route and `normalize` hand theirs over, and the constructor
+packs the Poly it is given. `is_zero`, `==` and the writers of formats read the
+keys; `.poly` decodes them on each use. The conformal route re-encodes
+its table's base-p keys, which lack the top digit, in radix p-1.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 from .cyclotomic import CyclotomicInt, cyclotomic_eval
 from .errors import BoundExceeded, DEFAULT_TERM_BOUND, PreconditionError
 from .flows import ZpMap, _tension_sums, is_flow
 from .graphs import Digraph, connected_components, kappa
-from .polynomials import Mono, Poly, mono_mul
+from .polynomials import Mono, Poly
 
 
-class QuotientPoly:
-    """A normal-form representative: exponents per arc lie in 0..p-2.
+def _weights(n: int, r: int) -> list[int]:
+    """Key weights of n radix-r digits, the first the most significant, so
+    that integer key order is the lexicographic order of the digit vectors."""
+    return [r ** (n - 1 - i) for i in range(n)]
 
-    Built by the fold or the conformal route, it keeps their packed keys
-    over `arcs`, and `poly` decodes them on first use."""
 
-    def __init__(self, p: int, arcs: tuple[str, ...], poly: Poly):
-        universe = set(arcs)
-        for mono, _ in poly.items():
-            for var, exp in mono:
-                if var not in universe:
-                    raise ValueError(f"variable {var!r} outside the arc universe")
-                if not 0 < exp <= p - 2:
-                    raise ValueError(f"exponent {exp} of {var!r} not in 1..{p - 2}")
-        self.p, self.arcs, self._packed, self._poly = p, arcs, None, poly
+class _PackedForm:
+    """The members the normal forms of both groups share. A form holds
+    packed key -> coefficient, one radix-`_radix` digit per id of `_ids` at
+    the weights of `_weights`. Subclasses name their public `_fields` and
+    give the decode `_columns` of `_unpack` for a sequence of ids."""
+
+    _fields: tuple[str, ...]
+
+    def __init__(self, ids: tuple[str, ...], radix: int, packed: dict[int, int]):
+        self._ids, self._radix, self._packed = ids, radix, packed
+
+    @classmethod
+    def _of(cls, ids: tuple[str, ...], radix: int, packed: dict[int, int]):
+        """A form of this class holding these keys, with no Poly to check."""
+        form = cls.__new__(cls)
+        _PackedForm.__init__(form, ids, radix, packed)
+        return form
+
+    def _by_id(self) -> list[tuple[str, int]]:
+        """(id, key weight) pairs in sorted-id order, the order in which a
+        monomial lists its variables."""
+        return sorted(zip(self._ids, _weights(len(self._ids), self._radix)))
 
     @property
     def poly(self) -> Poly:
-        if self._poly is None:
-            pairs = [[None] + [(a, d) for d in range(1, self.p - 1)] for a in self.arcs]
-            self._poly = Poly(_unpack(self._packed, self.p - 1, [pairs]))
-        return self._poly
+        by_id = self._by_id()
+        columns = self._columns([i for i, _ in by_id])
+        return Poly(_unpack(self._packed, self._radix, [w for _, w in by_id], columns))
 
     @property
     def is_zero(self) -> bool:
-        return self.poly.is_zero if self._packed is None else not self._packed
+        return not self._packed
+
+    def scaled(self, c: int):
+        packed = {k: v * c for k, v in self._packed.items()} if c else {}
+        return self._of(self._ids, self._radix, packed)
+
+    def digit_terms(self, descending: bool = False):
+        """(coefficient, [(id, digit), ...]) per term in key order, that is
+        lexicographic exponent order over `_ids`; each term lists its
+        nonzero digits in sorted-id order."""
+        r, by_id = self._radix, self._by_id()
+        for key in sorted(self._packed, reverse=descending):
+            yield self._packed[key], [(i, d) for i, w in by_id if (d := key // w % r)]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._radix != other._radix:
+            return False
+        if self._ids == other._ids:
+            return self._packed == other._packed
+        return self.poly == other.poly
+
+    def __hash__(self):
+        # the coefficients alone: forms over other id tuples can be equal
+        return hash((self._radix, frozenset(self._packed.values())))
+
+    def __repr__(self) -> str:
+        fields = "".join(f"{f}={getattr(self, f)!r}, " for f in self._fields)
+        return f"{type(self).__name__}({fields}poly={self.poly!r})"
+
+
+class QuotientPoly(_PackedForm):
+    """A normal-form representative: exponents per arc lie in 0..p-2."""
+
+    _fields = ("p", "arcs")
+
+    def __init__(self, p: int, arcs: tuple[str, ...], poly: Poly):
+        weight = dict(zip(arcs, _weights(len(arcs), p - 1)))
+        packed = {}
+        for mono, c in poly.items():
+            key = 0
+            for var, exp in mono:
+                if var not in weight:
+                    raise ValueError(f"variable {var!r} outside the arc universe")
+                if not 0 < exp <= p - 2:
+                    raise ValueError(f"exponent {exp} of {var!r} not in 1..{p - 2}")
+                key += exp * weight[var]
+            packed[key] = c
+        super().__init__(arcs, p - 1, packed)
+
+    @property
+    def p(self) -> int:
+        return self._radix + 1
+
+    @property
+    def arcs(self) -> tuple[str, ...]:
+        return self._ids
+
+    def _columns(self, ids):
+        return [[[None] + [(a, d) for d in range(1, self._radix)] for a in ids]]
 
     def coefficient(self, psi: dict[str, int]) -> int:
         return self.poly.coefficient(psi)
 
-    def scaled(self, c: int) -> "QuotientPoly":
-        return QuotientPoly(self.p, self.arcs, self.poly * c)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuotientPoly):
-            return NotImplemented
-        return self.p == other.p and _same_terms(self, other, self.arcs, other.arcs)
-
-    def __hash__(self):
-        return hash((self.p, self.poly))
-
-    def __repr__(self) -> str:
-        return f"QuotientPoly(p={self.p}, arcs={self.arcs!r}, poly={self.poly!r})"
-
-
-def _packed_form(cls, packed: dict[int, int], **fields):
-    """A normal form of class cls that holds packed keys, decoded on first use."""
-    form = cls.__new__(cls)
-    vars(form).update(fields, _packed=packed, _poly=None)
-    return form
-
-
-def _same_terms(f1, f2, universe1, universe2) -> bool:
-    """Equal terms, on the packed keys if both forms have them over one universe."""
-    if f1._packed is None or f2._packed is None or universe1 != universe2:
-        return f1.poly == f2.poly
-    return f1._packed == f2._packed
-
 
 def reduce_power(p: int, exponent: int, var: str = "x") -> QuotientPoly:
     """Normal form of a single variable power."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
     if exponent < 0:
         raise ValueError("exponent must be >= 0")
-    r = exponent % p
-    if r <= p - 2:
-        poly = Poly.variable(var, r) if r else Poly.one()
-    else:
-        poly = Poly({((var, i),) if i else (): -1 for i in range(p - 1)})
-    return QuotientPoly(p, (var,), poly)
+    return normalize(Poly.variable(var, exponent), p, (var,))
 
 
-def _reduce_terms(terms, p: int, max_terms: int) -> dict[Mono, int]:
-    """Reduce arbitrary (mono, coeff) pairs to the basic-monomial basis."""
-    out: dict[Mono, int] = {}
-    for mono, coeff in terms:
-        base = []
-        hot = []
-        for var, exp in mono:
-            r = exp % p
-            if r == 0:
-                continue
-            if r <= p - 2:
-                base.append((var, r))
+def _reduce_digits(terms, ids, r: int, max_terms: int) -> dict[int, int]:
+    """Packed keys over ids of (id -> nonzero digit, coeff) terms with digits
+    in 1..r: a top digit r expands to minus the sum of the basic digits."""
+    weight = dict(zip(ids, _weights(len(ids), r)))
+    out: dict[int, int] = {}
+    for digits, coeff in terms:
+        keys = [0]
+        for i, d in digits.items():
+            if i not in weight:
+                raise ValueError(f"variable for {i!r} outside the universe")
+            if d < r:
+                keys = [k + d * weight[i] for k in keys]
             else:
-                hot.append(var)
-        base_mono = tuple(base)
-        contribution = -coeff if len(hot) % 2 else coeff
-        # each maxed-out variable expands to the sum over exponents 0..p-2
-        for combo in product(range(p - 1), repeat=len(hot)):
-            extra = tuple((v, k) for v, k in sorted(zip(hot, combo)) if k)
-            m = mono_mul(base_mono, extra)
-            s = out.get(m, 0) + contribution
-            if s:
-                out[m] = s
+                keys = [k + e * weight[i] for k in keys for e in range(r)]
+                coeff = -coeff
+        for k in keys:
+            c = out.get(k, 0) + coeff
+            if c:
+                out[k] = c
             else:
-                out.pop(m, None)
+                out.pop(k, None)
         if len(out) > max_terms:
             raise BoundExceeded(f"normal form exceeds {max_terms} terms")
     return out
@@ -149,10 +186,10 @@ def normalize(
     if p < 2:
         raise ValueError("p must be >= 2")
     bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
-    reduced = _reduce_terms(f.items(), p, bound)
     if arcs is None:
         arcs = tuple(sorted(f.variables()))
-    return QuotientPoly(p, tuple(arcs), Poly(reduced))
+    terms = (({v: e % p for v, e in mono if e % p}, c) for mono, c in f.items())
+    return QuotientPoly._of(tuple(arcs), p - 1, _reduce_digits(terms, arcs, p - 1, bound))
 
 
 def is_in_ideal(f: Poly, p: int, max_terms: int | None = None) -> bool:
@@ -200,7 +237,7 @@ def _fold_vertex_factors(
     skipped vertices start the accumulator at q^kappa; see the module doc.
     """
     r = q - 1
-    weight = {a: r**i for i, a in enumerate(ids)}
+    weight = dict(zip(ids, _weights(len(ids), r)))
     stars: dict[str, list[tuple[int, int]]] = {v: [] for v in g.vertices}
     near: dict[str, list[str]] = {v: [] for v in g.vertices}
     for rec in records:
@@ -274,10 +311,10 @@ def _expand_state(state, star, r: int, shift, max_terms: int, where: str):
     return list(out.items())
 
 
-def _unpack(acc: dict[int, int], r: int, columns) -> dict[Mono, int]:
-    """Monomials of packed keys: `columns` map arc and digit, per variable
-    kind, to one (var, exponent) pair shared by every term, or to None."""
-    weights = [r**i for i in range(len(columns[0]))]
+def _unpack(acc: dict[int, int], r: int, weights, columns) -> dict[Mono, int]:
+    """Monomials of packed keys: `columns` map the id of each key weight and
+    its digit, per variable kind, to one (var, exponent) pair shared by
+    every term, or to None."""
     terms = {}
     for key, c in acc.items():
         digits = [key // w % r for w in weights]
@@ -288,7 +325,7 @@ def _unpack(acc: dict[int, int], r: int, columns) -> dict[Mono, int]:
 def _repack(acc: dict[int, int], q: int, n: int, scale: int) -> dict[int, int]:
     """Base-q keys of n digits without the top digit q-1, such as a
     conformal table's, as radix-(q-1) keys, each coefficient times scale."""
-    weights = [(q**i, (q - 1) ** i) for i in range(n)]
+    weights = list(zip([q**i for i in range(n)], _weights(n, q - 1)))
     return {sum(key // a % q * b for a, b in weights): c * scale for key, c in acc.items()}
 
 
@@ -298,7 +335,7 @@ def flow_polynomial_normal_form(
     """Normal form of the flow polynomial, folded vertex by vertex on packed
     keys: k in Z_p adds to the exponent of each arc entering the vertex and
     subtracts from each leaving it; the unreduced expansion never exists."""
-    return _packed_form(QuotientPoly, _zp_fold(g, p, max_terms), p=p, arcs=g.sorted_arc_ids)
+    return QuotientPoly._of(g.sorted_arc_ids, p - 1, _zp_fold(g, p, max_terms))
 
 
 def _zp_fold(g: Digraph, p: int, max_terms: int | None) -> dict[int, int]:
@@ -324,7 +361,7 @@ def conformal_normal_form(
     polynomial reduction route; the two must agree term by term."""
     ids = g.sorted_arc_ids
     acc = _tension_sums(g, p, max_states)
-    return _packed_form(QuotientPoly, _repack(acc, p, len(ids), p ** kappa(g)), p=p, arcs=ids)
+    return QuotientPoly._of(ids, p - 1, _repack(acc, p, len(ids), p ** kappa(g)))
 
 
 def surplus_eval(g: Digraph, phi: ZpMap) -> int:

@@ -1,0 +1,96 @@
+"""Slow, obviously-correct references that the package is tested against.
+
+The serialisers print a normal form from its decoded Poly, sorting terms by
+dense exponent vector over the form's id tuple; the package prints straight
+from the packed keys. parity4 and is_conformal4 test Klein maps one by one;
+the package counts conformal tensions on code tuples.
+"""
+
+from __future__ import annotations
+
+from flowpoly.fourflow import KleinMap, xvar, yvar
+
+
+def sorted_terms(poly, variables, reverse=False):
+    """Terms ordered lexicographically by dense exponent vector."""
+    def dense(item):
+        exps = dict(item[0])
+        return tuple(exps.get(v, 0) for v in variables)
+
+    return sorted(poly.terms.items(), key=dense, reverse=reverse)
+
+
+def _join_terms(terms) -> str:
+    """Signed text of (factor strings, coeff) pairs; "0" when empty."""
+    bits = []
+    for factors, coeff in terms:
+        mag = abs(coeff)
+        if factors:
+            body = factors if mag == 1 else f"{mag}*{factors}"
+        else:
+            body = str(mag)
+        if not bits:
+            bits.append(body if coeff > 0 else f"-{body}")
+        else:
+            bits.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(bits) if bits else "0"
+
+
+def quotient_poly_to_json(q) -> dict:
+    terms = [
+        {"coeff": str(coeff), "exps": {v: e for v, e in mono}}
+        for mono, coeff in sorted_terms(q.poly, q.arcs)
+    ]
+    return {"p": q.p, "terms": terms}
+
+
+def quotient_poly_to_text(q) -> str:
+    return _join_terms(
+        ("*".join(f"{v}^{e}" if e > 1 else v for v, e in mono), coeff)
+        for mono, coeff in sorted_terms(q.poly, q.arcs, reverse=True)
+    )
+
+
+def _pair_variables(q) -> tuple:
+    return tuple(v for e in q.edges for v in (xvar(e), yvar(e)))
+
+
+def _pair_exps(mono) -> dict[str, list[int]]:
+    out: dict[str, list[int]] = {}
+    for (kind, edge), exp in mono:
+        out.setdefault(edge, [0, 0])[0 if kind == "x" else 1] = exp
+    return out
+
+
+def pair_poly_to_json(q) -> dict:
+    terms = [
+        {"coeff": str(coeff), "exps": dict(sorted(_pair_exps(mono).items()))}
+        for mono, coeff in sorted_terms(q.poly, _pair_variables(q))
+    ]
+    return {"terms": terms}
+
+
+def pair_poly_to_text(q) -> str:
+    return _join_terms(
+        (
+            "*".join(f"{kind}_{edge}" for (kind, edge), _ in sorted(mono, key=lambda t: (t[0][1], t[0][0]))),
+            coeff,
+        )
+        for mono, coeff in sorted_terms(q.poly, _pair_variables(q), reverse=True)
+    )
+
+
+def parity4(phi: KleinMap) -> str:
+    n = sum(1 for v in phi.values.values() if tuple(v) == (1, 1))
+    return "even" if n % 2 == 0 else "odd"
+
+
+def is_conformal4(phi: KleinMap, psi: KleinMap) -> bool:
+    if not psi.avoids_max:
+        raise ValueError("psi must avoid (1,1)")
+    if set(phi.values) != set(psi.values):
+        raise ValueError("phi and psi live on different edge sets")
+    return all(
+        tuple(phi.values[e]) in (tuple(psi.values[e]), (1, 1))
+        for e in phi.values
+    )

@@ -384,3 +384,31 @@ class TestInternalErrors:
             assert code in (0, 1, 2, 3), (argv, path.read_text(), err)
             codes[code] += 1
         assert codes[0] and codes[2]
+
+
+class TestMapFileErrors:
+    @pytest.mark.parametrize(
+        "doc", ['{"values": {"e1": 1}}', '{"p": 3, "values": [1]}', '{"p": 3, "values": {"e1": "x"}}']
+    )
+    @pytest.mark.parametrize("flag", ["--psi", "--from-dual-flow"])
+    def test_malformed_json_map_exits_2(self, capsys, tmp_path, corpus_dir, doc, flag):
+        bad = tmp_path / "bad.map"
+        bad.write_text(doc)
+        command = "conformal" if flag == "--psi" else "color"
+        code, _, err = run(capsys, command, "-p", 3, flag, bad, corpus_dir / "example.g")
+        assert code == 2
+        assert "internal error" not in err
+
+
+class TestOutputPathStaysPacked:
+    @pytest.mark.parametrize(
+        "argv", [["normal-form", "-p", 3, "--json"], ["four-flow", "--json"]]
+    )
+    def test_json_output_never_decodes(self, capsys, monkeypatch, corpus_dir, argv):
+        def refuse(*args):
+            raise AssertionError("a normal form was decoded on the output path")
+
+        monkeypatch.setattr("flowpoly.quotient._unpack", refuse)
+        code, out, _ = run(capsys, *argv, corpus_dir / "k4.g")
+        assert code == 0
+        assert json.loads(out)

@@ -1,7 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from families import small_multigraphs
 from flowpoly.errors import GraphFormatError
 from flowpoly.flows import ZpMap
 from flowpoly.formats import (
@@ -13,15 +17,18 @@ from flowpoly.formats import (
     parse_graph_text,
     parse_klein_map,
     parse_zp_map,
-    poly_to_text,
     quotient_poly_to_json,
     quotient_poly_to_text,
     zp_map_to_json,
     zp_map_to_text,
 )
-from flowpoly.fourflow import four_flow_polynomial_normal_form
+from flowpoly.fourflow import (
+    PairQuotientPoly,
+    conformal_pair_normal_form,
+    four_flow_polynomial_normal_form,
+)
 from flowpoly.polynomials import Poly
-from flowpoly.quotient import flow_polynomial_normal_form
+from flowpoly.quotient import QuotientPoly, conformal_normal_form, flow_polynomial_normal_form
 
 
 class TestGraphText:
@@ -122,11 +129,11 @@ class TestPolyForms:
         assert vectors == sorted(vectors)
 
     def test_zero_poly(self):
-        assert poly_to_text(Poly.zero(), ()) == "0"
+        assert quotient_poly_to_text(QuotientPoly(4, ("a", "b"), Poly.zero())) == "0"
 
     def test_exponents_rendered(self):
         p = Poly.monomial({"a": 2, "b": 1}, -7)
-        assert poly_to_text(p, ("a", "b")) == "-7*a^2*b"
+        assert quotient_poly_to_text(QuotientPoly(4, ("a", "b"), p)) == "-7*a^2*b"
 
     def test_pair_poly_forms(self):
         from families import triangle
@@ -143,3 +150,65 @@ class TestPolyForms:
         payload = {"b": 1, "a": [3, 2]}
         assert dump_json(payload) == dump_json(payload)
         assert dump_json(payload).startswith('{\n  "a"')
+
+
+class TestWritersAgainstPolyReference:
+    """The packed-key writers print what the Poly-based reference prints."""
+
+    @given(g=small_multigraphs(), p=st.sampled_from((2, 3, 4, 5)), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_zp_forms(self, g, p, data):
+        nf = flow_polynomial_normal_form(g, p)
+        shuffled = tuple(data.draw(st.permutations(nf.arcs)))
+        for q in (nf, conformal_normal_form(g, p), QuotientPoly(p, shuffled, nf.poly)):
+            assert quotient_poly_to_text(q) == oracles.quotient_poly_to_text(q)
+            assert quotient_poly_to_json(q) == oracles.quotient_poly_to_json(q)
+
+    @given(g=small_multigraphs(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_klein_forms(self, g, data):
+        u = g.underlying()
+        nf = four_flow_polynomial_normal_form(u)
+        shuffled = tuple(data.draw(st.permutations(nf.edges)))
+        for q in (nf, conformal_pair_normal_form(u), PairQuotientPoly(shuffled, nf.poly)):
+            assert pair_poly_to_text(q) == oracles.pair_poly_to_text(q)
+            assert pair_poly_to_json(q) == oracles.pair_poly_to_json(q)
+
+
+class TestJsonMapErrors:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"values": {"e1": 1}},
+            {"p": 3},
+            {"p": 3, "values": [1]},
+            {"p": 3, "values": {"e1": 1.5}},
+            {"p": 3, "values": {"e1": [1]}},
+            {"p": "3", "values": {"e1": 1}},
+        ],
+    )
+    def test_zp_map(self, doc):
+        with pytest.raises(GraphFormatError):
+            parse_zp_map(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "doc", [[1], {}, {"values": [[0, 1]]}, {"values": {"e1": 1}}, {"values": {"e1": [0, "1"]}}]
+    )
+    def test_klein_map(self, doc):
+        with pytest.raises(GraphFormatError):
+            parse_klein_map(json.dumps(doc))
+
+
+class TestGraphTextRoundTrip:
+    @given(g=small_multigraphs(), undirected=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_parse_of_print(self, g, undirected):
+        # an edgeless undirected graph prints as v records only and parses
+        # back as a digraph; as_undirected() takes it back
+        g = g.underlying() if undirected else g
+        text = graph_to_text(g)
+        parsed = parse_graph_text(text)
+        again = parsed.as_undirected() if undirected else parsed.as_digraph()
+        records = lambda h: set(h.edges if undirected else h.arcs)
+        assert (again.vertices, records(again)) == (g.vertices, records(g))
+        assert graph_to_text(again) == text

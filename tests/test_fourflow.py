@@ -17,10 +17,12 @@ from families import (
     triangle,
 )
 from hypothesis import given, settings
+from oracles import is_conformal4, parity4
 
 from flowpoly.errors import BoundExceeded
 from flowpoly.fourflow import (
     KLEIN,
+    KLEIN_BASIC,
     KleinMap,
     PairQuotientPoly,
     conformal_pair_normal_form,
@@ -33,12 +35,10 @@ from flowpoly.fourflow import (
     four_flow_polynomial_normal_form,
     four_flow_polynomial_raw,
     has_nz_four_flow,
-    is_conformal4,
     is_dual_four_flow,
     is_four_flow,
     klein_eval,
     normalize_pair,
-    parity4,
     reduce_pair_power,
     xvar,
     yvar,
@@ -365,3 +365,15 @@ class TestConformal4:
         assert not is_conformal4(km(g, (1, 0), (1, 1), (0, 0)), psi)
         with pytest.raises(ValueError):
             is_conformal4(psi, km(g, (1, 1), (0, 0), (0, 0)))
+
+    @given(g=small_multigraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_counts_match_the_map_by_map_oracle(self, g):
+        u = g.underlying()
+        ids = [e.id for e in u.edges]
+        tensions = enumerate_dual_four_flows(u)
+        for values in product(KLEIN_BASIC, repeat=len(ids)):
+            psi = KleinMap(dict(zip(ids, values)))
+            split = [parity4(phi) for phi in tensions if is_conformal4(phi, psi)]
+            expected = (split.count("even"), split.count("odd"))
+            assert count_conformal_dual_four_flows(u, psi) == expected
