@@ -84,13 +84,14 @@ def _yes(flag: bool) -> str:
     return _color("YES", "32") if flag else _color("NO", "31")
 
 
-def _read_psi(args, g, p) -> ZpMap:
-    with open(args.psi, encoding="utf-8") as fh:
-        psi = parse_zp_map(fh.read())
-    if psi.p != p:
-        raise PreconditionError(f"psi has p={psi.p}, command uses p={p}")
-    psi.check_domain(g)
-    return psi
+def _read_map(path, g, p: int, name: str) -> ZpMap:
+    """The Z_p map in a file, checked against the command's p and g's arcs."""
+    with open(path, encoding="utf-8") as fh:
+        phi = parse_zp_map(fh.read())
+    if phi.p != p:
+        raise PreconditionError(f"{name} has p={phi.p}, command uses p={p}")
+    phi.check_domain(g)
+    return phi
 
 
 def cmd_normal_form(args) -> int:
@@ -127,7 +128,7 @@ def cmd_nz_flow(args) -> int:
 
 def cmd_conformal(args) -> int:
     g = load_graph(args.file).as_digraph()
-    psi = _read_psi(args, g, args.p)
+    psi = _read_map(args.psi, g, args.p, "psi")
     if args.dual:
         counts = count_conformal_dual_flows(g, psi, args.p, max_states=args.bound)
     else:
@@ -244,9 +245,8 @@ def cmd_color(args) -> int:
     parsed = load_graph(args.file)
     g = parsed.as_undirected()
     if args.from_dual_flow:
-        with open(args.from_dual_flow, encoding="utf-8") as fh:
-            phi = parse_zp_map(fh.read())
         d = parsed.as_digraph()
+        phi = _read_map(args.from_dual_flow, d, args.p, "the dual flow")
         omega = coloring_from_dual_flow(d, phi)
         if args.json:
             sys.stdout.write(dump_json({"coloring": omega}))

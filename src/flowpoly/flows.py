@@ -11,6 +11,15 @@ Internally a map is a tuple of codes 0..q-1 over a finite abelian group
 built only at the public API. One set of generators and tests serves both
 groups.
 
+The generic helpers take the graph itself, a Digraph or an
+UndirectedGraph, and read a code tuple over its sorted record ids. They
+read the graph's cached breadth-first search (components and a spanning
+forest from the least vertex of each component) and its stars (each
+non-loop record at a vertex with its sign there); see graphs. Potentials
+grow along the forest, circulations solve the forest records from the
+leaves up, and the flow test sums each star, so none of them rebuilds
+incidence data.
+
 The conformal table c(psi) is aggregated on packed keys. A map is the
 base-q integer with the code of the arc at position i at weight q^i, and
 the maps are counted into one dict. The top code q-1 is then swept out one
@@ -38,7 +47,6 @@ from .graphs import (
     Digraph,
     UndirectedGraph,
     circuits,
-    connected_components,
     cyclomatic_number,
     kappa,
 )
@@ -136,8 +144,7 @@ def surplus(g: Digraph, phi: ZpMap) -> dict[str, int]:
 
 def is_flow(g: Digraph, phi: ZpMap) -> bool:
     phi.check_domain(g)
-    ids = g.sorted_arc_ids
-    return _flow_test(g, g.arcs, ids, _zp(phi.p))(phi.as_tuple(ids))
+    return _flow_test(g, _zp(phi.p))(phi.as_tuple(g.sorted_arc_ids))
 
 
 def is_dual_flow(g: Digraph, phi: ZpMap, debug: bool = False) -> bool:
@@ -148,8 +155,7 @@ def is_dual_flow(g: Digraph, phi: ZpMap, debug: bool = False) -> bool:
     """
     phi.check_domain(g)
     p = phi.p
-    ids = g.sorted_arc_ids
-    ok = _potentials(g, g.arcs, ids, _zp(p))[1](phi.as_tuple(ids)) is not None
+    ok = _potentials(g, _zp(p))[1](phi.as_tuple(g.sorted_arc_ids)) is not None
     if debug and len(g.arcs) <= 12:
         by_circuits = all(
             _circuit_sum(phi, c) % p == 0 for c in circuits(g)
@@ -171,45 +177,9 @@ def _check_states(count: int, max_states: int | None) -> None:
         raise BoundExceeded(f"{count} states exceed the bound {bound}")
 
 
-def _forest(g, records):
-    """A BFS spanning forest from the least vertex of each component, with
-    neighbours by ascending record id: the roots, and (vertex, parent,
-    record) for every other vertex in visiting order."""
-    near: dict[str, list] = {v: [] for v in g.vertices}
-    for rec in sorted(records, key=lambda r: r.id):
-        a, b = rec.ends()
-        if a != b:
-            near[a].append((b, rec))
-            near[b].append((a, rec))
-    roots = [comp[0] for comp in connected_components(g)]
-    seen = set(roots)
-    steps = []
-    for root in roots:
-        queue = [root]
-        for v in queue:
-            for w, rec in near[v]:
-                if w not in seen:
-                    seen.add(w)
-                    steps.append((w, v, rec))
-                    queue.append(w)
-    return roots, steps
-
-
-def _stars(g, records, index) -> dict[str, list[tuple[int, int]]]:
-    """(position, +1 at the head / -1 at the tail) of the non-loop records
-    at each vertex."""
-    stars: dict[str, list[tuple[int, int]]] = {v: [] for v in g.vertices}
-    for rec in records:
-        tail, head = rec.ends()
-        if tail != head:
-            stars[tail].append((index[rec.id], -1))
-            stars[head].append((index[rec.id], 1))
-    return stars
-
-
-def _flow_test(g, records, ids, group: _Group):
-    """A test of whether a code tuple over `ids` conserves at every vertex."""
-    stars = [s for s in _stars(g, records, {a: i for i, a in enumerate(ids)}).values() if s]
+def _flow_test(g, group: _Group):
+    """A test of whether a code tuple over g.sorted_ids conserves at every vertex."""
+    stars = [s for s in g.stars.values() if s]
     label, diff, neg = group.label, group.diff, group.neg
 
     def test(values) -> bool:
@@ -225,22 +195,18 @@ def _flow_test(g, records, ids, group: _Group):
     return test
 
 
-def _potentials(g, records, ids, group: _Group):
+def _potentials(g, group: _Group):
     """(vertices, solve): solve(values) gives the potentials of `vertices`
-    when the code tuple over `ids` is a tension, and None otherwise. Roots
-    get 0, each other vertex its forest parent's potential plus the joining
-    record's value at the record's head, minus it at its tail; the records
-    off the forest are then checked."""
-    index = {a: i for i, a in enumerate(ids)}
-    roots, steps = _forest(g, records)
-    slot = {v: k for k, v in enumerate(roots + [w for w, _, _ in steps])}
-    grow = [(slot[w], slot[v], index[rec.id], rec.ends()[1] == w) for w, v, rec in steps]
-    forest = {rec.id for _, _, rec in steps}
-    checks = [
-        (index[rec.id], slot[rec.ends()[1]], slot[rec.ends()[0]])
-        for rec in records
-        if rec.id not in forest
-    ]
+    when the code tuple over g.sorted_ids is a tension, and None otherwise.
+    Roots get 0, each other vertex its forest parent's potential plus the
+    joining record's value at the record's second end, minus it at its
+    first; the records off the forest are then checked."""
+    comps, steps = g.bfs
+    slot = {v: k for k, v in enumerate([c[0] for c in comps] + [w for w, *_ in steps])}
+    grow = [(slot[w], slot[v], i, s > 0) for w, v, i, s in steps]
+    forest = {i for _, _, i, _ in steps}
+    ends = [g.by_id[r].ends() for r in g.sorted_ids]
+    checks = [(i, slot[h], slot[t]) for i, (t, h) in enumerate(ends) if i not in forest]
     label, diff, neg = group.label, group.diff, group.neg
     size = len(slot)
 
@@ -257,14 +223,15 @@ def _potentials(g, records, ids, group: _Group):
     return list(slot), solve
 
 
-def _tensions(g, ends, group: _Group, max_states):
-    """Tension code tuples aligned with `ends`, the (tail, head) of each
-    record: head potential minus tail potential. The potentials of the
-    sorted non-root vertices run lexicographically; roots are at 0."""
-    comps = connected_components(g)
-    free = sorted(v for comp in comps for v in comp[1:])
+def _tensions(g, group: _Group, max_states, ids=None):
+    """Tension code tuples over `ids`, by default g.sorted_ids: the
+    potential at each record's second end minus the one at its first. The
+    potentials of the sorted non-root vertices run lexicographically; roots
+    are at 0."""
+    free = sorted(v for comp in g.bfs[0] for v in comp[1:])
     _check_states(group.q ** len(free), max_states)
     slot = {v: i for i, v in enumerate(free)}
+    ends = [g.by_id[r].ends() for r in (g.sorted_ids if ids is None else ids)]
     pairs = [(slot.get(h, -1), slot.get(t, -1)) for t, h in ends]
     diff = group.diff
     # a[-1] = 0 is the label of every root's potential
@@ -272,26 +239,22 @@ def _tensions(g, ends, group: _Group, max_states):
         yield tuple([diff[a[h] - a[t]] for h, t in pairs])
 
 
-def _circulations(g, records, group: _Group, max_states):
-    """Flow code tuples over the sorted record ids. The records off the
-    forest, by ascending id, run lexicographically over the codes; each
-    forest record, leaves up, then balances the others at its vertex."""
+def _circulations(g, group: _Group, max_states):
+    """Flow code tuples over g.sorted_ids. The records off the forest, by
+    ascending id, run lexicographically over the codes; each forest record,
+    leaves up, then balances the others at its vertex."""
     q = group.q
     _check_states(q ** cyclomatic_number(g), max_states)
-    ids = sorted(r.id for r in records)
-    index = {a: i for i, a in enumerate(ids)}
-    stars = _stars(g, records, index)
-    _, steps = _forest(g, records)
-    forest = {index[rec.id] for _, _, rec in steps}
-    free = [i for i in range(len(ids)) if i not in forest]
-    solves = []
-    for w, _, rec in reversed(steps):
-        i = index[rec.id]
-        sign = 1 if rec.ends()[1] == w else -1
-        # sign * x + sum s * y = 0, so x takes -sign * s * y from each other y
-        solves.append((i, [(j, s == sign) for j, s in stars[w] if j != i]))
+    stars, steps = g.stars, g.bfs[1]
+    forest = {i for _, _, i, _ in steps}
+    free = [i for i in range(len(g.sorted_ids)) if i not in forest]
+    # sign * x + sum s * y = 0 at w, so x takes -sign * s * y from each other y
+    solves = [
+        (i, [(j, s == sign) for j, s in stars[w] if j != i])
+        for w, _, i, sign in reversed(steps)
+    ]
     label, diff, neg = group.label, group.diff, group.neg
-    values = [0] * len(ids)
+    values = [0] * len(g.sorted_ids)
     for assignment in product(range(q), repeat=len(free)):
         for i, x in zip(free, assignment):
             values[i] = x
@@ -304,18 +267,12 @@ def _circulations(g, records, group: _Group, max_states):
         yield tuple(values)
 
 
-def _tension_tuples(g: Digraph, p: int, ids: tuple[str, ...], max_states):
-    """Tension value tuples aligned with `ids`, in the order of
-    enumerate_dual_flows."""
-    return _tensions(g, [g.arc_by_id[a].ends() for a in ids], _zp(p), max_states)
-
-
 def _flow_tuples(g: Digraph, p: int, max_states):
     """Flow value tuples over g.sorted_arc_ids, in the order of
     enumerate_flows."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    return _circulations(g, g.arcs, _zp(p), max_states)
+    return _circulations(g, _zp(p), max_states)
 
 
 def enumerate_flows(g: Digraph, p: int, max_states: int | None = None) -> list[ZpMap]:
@@ -331,9 +288,7 @@ def enumerate_dual_flows(g: Digraph, p: int, max_states: int | None = None) -> l
     if p < 2:
         raise ValueError("p must be >= 2")
     ids = [a.id for a in g.arcs]
-    return [
-        ZpMap.from_tuple(p, ids, v) for v in _tension_tuples(g, p, ids, max_states)
-    ]
+    return [ZpMap.from_tuple(p, ids, v) for v in _tensions(g, _zp(p), max_states, ids)]
 
 
 def parity(phi: ZpMap) -> str:
@@ -381,11 +336,10 @@ def _dual_count_methods(g: Digraph, p: int, psis, max_states):
     """The "subset" and "tension" counts of count_conformal_dual_flows for
     each psi value tuple over g.sorted_arc_ids in psis, with the potential
     solver built and the tensions enumerated once for all of them."""
-    ids = g.sorted_arc_ids
-    solve = _potentials(g, g.arcs, ids, _zp(p))[1]
+    solve = _potentials(g, _zp(p))[1]
     test = lambda v: solve(v) is not None
     subset = [_count_by_subsets(psi, p - 1, test, max_states) for psi in psis]
-    return subset, _count_conformal(_tension_tuples(g, p, ids, max_states), psis, p - 1)
+    return subset, _count_conformal(_tensions(g, _zp(p), max_states), psis, p - 1)
 
 
 def count_conformal_dual_flows(
@@ -406,11 +360,11 @@ def count_conformal_dual_flows(
         )
     ids = g.sorted_arc_ids
     if method == "subset":
-        solve = _potentials(g, g.arcs, ids, _zp(p))[1]
+        solve = _potentials(g, _zp(p))[1]
         test = lambda v: solve(v) is not None
         return ConformalCount(*_count_by_subsets(psi.as_tuple(ids), p - 1, test, max_states))
     if method == "tension":
-        tensions = _tension_tuples(g, p, ids, max_states)
+        tensions = _tensions(g, _zp(p), max_states)
         return ConformalCount(*_count_conformal(tensions, [psi.as_tuple(ids)], p - 1)[0])
     raise ValueError(f"unknown method {method!r}")
 
@@ -426,7 +380,7 @@ def count_conformal_flows(
         )
     ids = g.sorted_arc_ids
     if method == "subset":
-        test = _flow_test(g, g.arcs, ids, _zp(p))
+        test = _flow_test(g, _zp(p))
         return ConformalCount(*_count_by_subsets(psi.as_tuple(ids), p - 1, test, max_states))
     if method == "flow":
         flows = _flow_tuples(g, p, max_states)
@@ -480,8 +434,7 @@ def _decode(acc: dict[int, int], q: int, n: int, values) -> dict[tuple, int]:
 
 
 def _tension_sums(g: Digraph, p: int, max_states) -> dict[int, int]:
-    tensions = _tension_tuples(g, p, g.sorted_arc_ids, max_states)
-    return _conformal_sums(tensions, p, len(g.arcs), max_states)
+    return _conformal_sums(_tensions(g, _zp(p), max_states), p, len(g.arcs), max_states)
 
 
 def coefficient_table(
@@ -534,9 +487,8 @@ def coloring_from_dual_flow(g: Digraph, phi: ZpMap) -> dict[str, int]:
     phi.check_domain(g)
     if not phi.is_nowhere_zero:
         raise PreconditionError("the map has a zero arc")
-    ids = g.sorted_arc_ids
-    vertices, solve = _potentials(g, g.arcs, ids, _zp(phi.p))
-    omega = solve(phi.as_tuple(ids))
+    vertices, solve = _potentials(g, _zp(phi.p))
+    omega = solve(phi.as_tuple(g.sorted_arc_ids))
     if omega is None:
         raise PreconditionError("the map is not a dual flow")
     return dict(zip(vertices, omega))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .embedding import End, RotationSystem
 from .errors import GraphFormatError
 from .fourflow import KleinMap, PairQuotientPoly
-from .graphs import Digraph, UndirectedGraph
+from .graphs import Digraph, UndirectedGraph, orient
 from .quotient import QuotientPoly
 
 _ID = re.compile(r"^[A-Za-z0-9_]+$")
@@ -39,16 +39,10 @@ class ParsedGraph:
     undirected: UndirectedGraph | None
     rotation: RotationSystem | None
 
-    @property
-    def graph(self):
-        return self.digraph if self.kind == "digraph" else self.undirected
-
     def as_digraph(self) -> Digraph:
         """The digraph itself, or the stored-order orientation."""
         if self.digraph is not None:
             return self.digraph
-        from .graphs import orient
-
         return orient(self.undirected)
 
     def as_undirected(self) -> UndirectedGraph:
@@ -115,21 +109,12 @@ def load_graph(path) -> ParsedGraph:
 
 
 def graph_to_text(g, rotation: RotationSystem | None = None) -> str:
-    lines = []
-    if isinstance(g, Digraph):
-        touched = {w for a in g.arcs for w in a.ends()}
-        for v in g.sorted_vertices:
-            if v not in touched:
-                lines.append(f"v {v}")
-        for a in sorted(g.arcs, key=lambda a: a.id):
-            lines.append(f"a {a.id} {a.tail} {a.head}")
-    else:
-        touched = {w for e in g.edges for w in e.ends()}
-        for v in g.sorted_vertices:
-            if v not in touched:
-                lines.append(f"v {v}")
-        for e in sorted(g.edges, key=lambda e: e.id):
-            lines.append(f"e {e.id} {e.u} {e.v}")
+    touched = {w for r in g.records for w in r.ends()}
+    lines = [f"v {v}" for v in g.sorted_vertices if v not in touched]
+    tag = g.kind[0]  # "a" for an arc, "e" for an edge
+    for rid in g.sorted_ids:
+        a, b = g.by_id[rid].ends()
+        lines.append(f"{tag} {rid} {a} {b}")
     if rotation is not None:
         for v in sorted(rotation.orders):
             ends = " ".join(str(e) for e in rotation.orders[v])

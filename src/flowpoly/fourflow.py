@@ -169,7 +169,7 @@ def _klein_maps(ids, tuples) -> list[KleinMap]:
 def is_four_flow(g: UndirectedGraph, phi: KleinMap) -> bool:
     """Componentwise mod-2 conservation at every vertex; loops drop out."""
     codes = _codes(g, phi)
-    return _flow_test(g, g.edges, g.sorted_edge_ids, _KLEIN_GROUP)(codes)
+    return _flow_test(g, _KLEIN_GROUP)(codes)
 
 
 def is_dual_four_flow(g: UndirectedGraph, phi: KleinMap) -> bool:
@@ -178,11 +178,7 @@ def is_dual_four_flow(g: UndirectedGraph, phi: KleinMap) -> bool:
     No signs are needed because the group is self-inverse; loops must
     carry (0, 0)."""
     codes = _codes(g, phi)
-    return _potentials(g, g.edges, g.sorted_edge_ids, _KLEIN_GROUP)[1](codes) is not None
-
-
-def _klein_tensions(g: UndirectedGraph, ids, max_states):
-    return _tensions(g, [g.edge_by_id[e].ends() for e in ids], _KLEIN_GROUP, max_states)
+    return _potentials(g, _KLEIN_GROUP)[1](codes) is not None
 
 
 def enumerate_dual_four_flows(
@@ -190,7 +186,7 @@ def enumerate_dual_four_flows(
 ) -> list[KleinMap]:
     """All 4^(|V|-kappa) Klein tensions via rooted potentials."""
     ids = [e.id for e in g.edges]
-    return _klein_maps(ids, _klein_tensions(g, ids, max_states))
+    return _klein_maps(ids, _tensions(g, _KLEIN_GROUP, max_states, ids))
 
 
 def enumerate_klein_circulations(
@@ -198,7 +194,7 @@ def enumerate_klein_circulations(
 ) -> list[KleinMap]:
     """All 4^(|E|-|V|+kappa) Klein flows: free values off a spanning
     forest, forest edges forced by conservation."""
-    flows = _circulations(g, g.edges, _KLEIN_GROUP, max_states)
+    flows = _circulations(g, _KLEIN_GROUP, max_states)
     return _klein_maps(g.sorted_edge_ids, flows)
 
 
@@ -207,7 +203,7 @@ def find_nz_four_flow(
 ) -> KleinMap | None:
     """The first nowhere-zero Klein flow in the order of
     enumerate_klein_circulations."""
-    for codes in _circulations(g, g.edges, _KLEIN_GROUP, max_states):
+    for codes in _circulations(g, _KLEIN_GROUP, max_states):
         if all(codes):
             return _klein_maps(g.sorted_edge_ids, [codes])[0]
     return None
@@ -278,7 +274,7 @@ def _klein_fold(g: UndirectedGraph, max_terms: int | None) -> dict[int, int]:
     """The packed normal form: empty exactly when the normal form is zero."""
     bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
     shift = lambda d, k, sign: d ^ k
-    return _fold_vertex_factors(g, g.edges, g.sorted_edge_ids, 4, shift, bound, "Klein")
+    return _fold_vertex_factors(g, 4, shift, bound, "Klein")
 
 
 def klein_eval(f: Poly, assignment: dict[str, KleinPair]) -> int:
@@ -318,7 +314,7 @@ def four_flow_poly_eval(g: UndirectedGraph, assignment: dict[str, KleinPair]) ->
 
 
 def _klein_sums(g: UndirectedGraph, max_states) -> dict[int, int]:
-    tensions = _klein_tensions(g, g.sorted_edge_ids, max_states)
+    tensions = _tensions(g, _KLEIN_GROUP, max_states)
     return _conformal_sums(tensions, 4, len(g.edges), max_states)
 
 
@@ -347,7 +343,7 @@ def count_conformal_dual_four_flows(
     codes = _codes(g, psi)
     if not psi.avoids_max:
         raise ValueError("psi must avoid (1,1)")
-    return _count_conformal(_klein_tensions(g, g.sorted_edge_ids, max_states), [codes], 3)[0]
+    return _count_conformal(_tensions(g, _KLEIN_GROUP, max_states), [codes], 3)[0]
 
 
 def has_nz_four_flow(

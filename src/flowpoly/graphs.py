@@ -4,6 +4,17 @@ Loops and parallel edges are allowed everywhere. All values are immutable;
 operations are pure functions returning new graphs. Edge ids survive
 reorientation and contraction, which is what makes certificates and
 cross-graph comparisons possible.
+
+Both kinds share one core: a Digraph's arcs and an UndirectedGraph's edges
+are its `records`, each with an id and a first and second end (tail and
+head for an arc), looked up through `by_id` and ordered by `sorted_ids`;
+the kind-specific names are aliases. The core also derives, once per graph
+object, the `stars` of the non-loop records at each vertex and one
+breadth-first search, `bfs`, that gives the components and a spanning
+forest. Caching them is safe because a graph never changes after it is
+built. Components, kappa and the cyclomatic number read that search, and
+so do the group-generic enumerations and the normal-form fold, which take
+the graph itself whatever its kind.
 """
 
 from __future__ import annotations
@@ -11,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError
@@ -51,46 +63,95 @@ class Edge:
         raise ValueError(f"{w!r} is not an endpoint of {self.id!r}")
 
 
-def _check_members(kind: str, records, vertices: frozenset[str]):
-    seen = set()
-    for r in records:
-        if r.id in seen:
-            raise ValueError(f"duplicate {kind} id {r.id!r}")
-        seen.add(r.id)
-        for w in r.ends():
-            if w not in vertices:
-                raise ValueError(f"{kind} {r.id!r} endpoint {w!r} not a vertex")
+class _Multigraph:
+    """The members both graph kinds share. A subclass is a frozen dataclass
+    of `vertices` and its `records`, arcs or edges, each with an id and two
+    ends; `kind` names a record in messages. Graphs are immutable, so each
+    derived structure below is computed once per graph object and cached."""
 
-
-@dataclass(frozen=True)
-class Digraph:
-    vertices: frozenset[str]
-    arcs: tuple[Arc, ...]
+    kind: str
+    _record: type
 
     def __post_init__(self):
-        _check_members("arc", self.arcs, self.vertices)
+        seen = set()
+        for r in self.records:
+            if r.id in seen:
+                raise ValueError(f"duplicate {self.kind} id {r.id!r}")
+            seen.add(r.id)
+            for w in r.ends():
+                if w not in self.vertices:
+                    raise ValueError(f"{self.kind} {r.id!r} endpoint {w!r} not a vertex")
 
     @classmethod
-    def build(cls, arcs: Iterable[tuple[str, str, str]], vertices: Iterable[str] = ()) -> "Digraph":
-        """From (id, tail, head) triples; endpoint vertices are implied."""
-        arcs = tuple(Arc(i, t, h) for i, t, h in arcs)
+    def build(cls, records: Iterable[tuple[str, str, str]], vertices: Iterable[str] = ()):
+        """From (id, first end, second end) triples, such as (id, tail, head)
+        for arcs; endpoint vertices are implied."""
+        records = tuple(cls._record(*r) for r in records)
         vs = set(vertices)
-        for a in arcs:
-            vs.add(a.tail)
-            vs.add(a.head)
-        return cls(frozenset(vs), arcs)
+        for r in records:
+            vs.update(r.ends())
+        return cls(frozenset(vs), records)
 
     @cached_property
-    def arc_by_id(self) -> dict[str, Arc]:
-        return {a.id: a for a in self.arcs}
+    def by_id(self) -> dict:
+        return {r.id: r for r in self.records}
+
+    @cached_property
+    def sorted_ids(self) -> tuple[str, ...]:
+        return tuple(sorted(self.by_id))
 
     @cached_property
     def sorted_vertices(self) -> tuple[str, ...]:
         return tuple(sorted(self.vertices))
 
     @cached_property
-    def sorted_arc_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(a.id for a in self.arcs))
+    def stars(self) -> dict[str, list[tuple[int, int]]]:
+        """Per vertex, each non-loop record at it as (position in sorted_ids,
+        -1 at the record's first end or +1 at its second), by ascending id.
+        Every caller shares the lists, so none may change them."""
+        stars: dict[str, list[tuple[int, int]]] = {v: [] for v in self.sorted_vertices}
+        for i, rid in enumerate(self.sorted_ids):
+            a, b = self.by_id[rid].ends()
+            if a != b:
+                stars[a].append((i, -1))
+                stars[b].append((i, 1))
+        return stars
+
+    @cached_property
+    def bfs(self) -> tuple[tuple, tuple]:
+        """(components, forest) of one breadth-first search over the sorted
+        vertices, neighbours by ascending record id. Components are sorted
+        and ordered by their least vertex, the root of their tree. The
+        forest lists (vertex, parent, position, sign) in visiting order: the
+        record at `position` of sorted_ids joins the vertex to its parent,
+        and `sign` is its star sign at the vertex."""
+        seen, comps, steps = set(), [], []
+        for root in self.sorted_vertices:
+            if root in seen:
+                continue
+            seen.add(root)
+            queue = [root]
+            for v in queue:
+                for i, s in self.stars[v]:
+                    # the other end: the second one when v is the first (s = -1)
+                    w = self.by_id[self.sorted_ids[i]].ends()[s < 0]
+                    if w not in seen:
+                        seen.add(w)
+                        steps.append((w, v, i, -s))
+                        queue.append(w)
+            comps.append(tuple(sorted(queue)))
+        return tuple(comps), tuple(steps)
+
+
+@dataclass(frozen=True)
+class Digraph(_Multigraph):
+    vertices: frozenset[str]
+    arcs: tuple[Arc, ...]
+
+    kind, _record = "arc", Arc
+    records = property(attrgetter("arcs"))
+    arc_by_id = property(attrgetter("by_id"))
+    sorted_arc_ids = property(attrgetter("sorted_ids"))
 
     @cached_property
     def _incidence(self) -> dict[str, tuple[list[Arc], list[Arc]]]:
@@ -116,33 +177,14 @@ class Digraph:
 
 
 @dataclass(frozen=True)
-class UndirectedGraph:
+class UndirectedGraph(_Multigraph):
     vertices: frozenset[str]
     edges: tuple[Edge, ...]
 
-    def __post_init__(self):
-        _check_members("edge", self.edges, self.vertices)
-
-    @classmethod
-    def build(cls, edges: Iterable[tuple[str, str, str]], vertices: Iterable[str] = ()) -> "UndirectedGraph":
-        edges = tuple(Edge(i, u, v) for i, u, v in edges)
-        vs = set(vertices)
-        for e in edges:
-            vs.add(e.u)
-            vs.add(e.v)
-        return cls(frozenset(vs), edges)
-
-    @cached_property
-    def edge_by_id(self) -> dict[str, Edge]:
-        return {e.id: e for e in self.edges}
-
-    @cached_property
-    def sorted_vertices(self) -> tuple[str, ...]:
-        return tuple(sorted(self.vertices))
-
-    @cached_property
-    def sorted_edge_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(e.id for e in self.edges))
+    kind, _record = "edge", Edge
+    records = property(attrgetter("edges"))
+    edge_by_id = property(attrgetter("by_id"))
+    sorted_edge_ids = property(attrgetter("sorted_ids"))
 
     @cached_property
     def _incidence(self) -> dict[str, list[Edge]]:
@@ -203,18 +245,6 @@ class Circuit:
         return Circuit(tuple(steps))
 
 
-def _ends_of(g: Graph, eid: str) -> tuple[str, str]:
-    if isinstance(g, Digraph):
-        a = g.arc_by_id[eid]
-        return a.tail, a.head
-    e = g.edge_by_id[eid]
-    return e.u, e.v
-
-
-def edge_ids(g: Graph) -> tuple[str, ...]:
-    return g.sorted_arc_ids if isinstance(g, Digraph) else g.sorted_edge_ids
-
-
 def orient(g: UndirectedGraph, choice: Mapping[str, tuple[str, str]] | None = None) -> Digraph:
     """Direct every edge of g.
 
@@ -262,8 +292,7 @@ def contract(g: Graph, edge_set: Iterable[str]) -> Graph:
     vertex takes the smallest id in its merged class.
     """
     ids = set(edge_set)
-    by_id = g.arc_by_id if isinstance(g, Digraph) else g.edge_by_id
-    unknown = ids - set(by_id)
+    unknown = ids - set(g.by_id)
     if unknown:
         raise ValueError(f"unknown edge ids {sorted(unknown)}")
 
@@ -282,57 +311,26 @@ def contract(g: Graph, edge_set: Iterable[str]) -> Graph:
             parent[hi] = lo
 
     for eid in ids:
-        a, b = _ends_of(g, eid)
-        union(a, b)
+        union(*g.by_id[eid].ends())
 
     vmap = {v: find(v) for v in g.vertices}
-    new_vertices = frozenset(vmap.values())
-    if isinstance(g, Digraph):
-        arcs = tuple(
-            Arc(a.id, vmap[a.tail], vmap[a.head])
-            for a in g.arcs
-            if a.id not in ids
-        )
-        return Digraph(new_vertices, arcs)
-    edges = tuple(
-        Edge(e.id, vmap[e.u], vmap[e.v]) for e in g.edges if e.id not in ids
+    records = tuple(
+        type(r)(r.id, *map(vmap.get, r.ends())) for r in g.records if r.id not in ids
     )
-    return UndirectedGraph(new_vertices, edges)
+    return type(g)(frozenset(vmap.values()), records)
 
 
 def connected_components(g: Graph) -> list[tuple[str, ...]]:
     """Vertex partition into components, each sorted, ordered by minimum."""
-    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
-    items = g.arcs if isinstance(g, Digraph) else g.edges
-    for e in items:
-        a, b = e.ends()
-        adj[a].add(b)
-        adj[b].add(a)
-    seen: set[str] = set()
-    parts = []
-    for start in sorted(g.vertices):
-        if start in seen:
-            continue
-        stack = [start]
-        comp = set()
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(adj[v] - comp)
-        seen |= comp
-        parts.append(tuple(sorted(comp)))
-    return parts
+    return list(g.bfs[0])
 
 
 def kappa(g: Graph) -> int:
-    return len(connected_components(g))
+    return len(g.bfs[0])
 
 
 def cyclomatic_number(g: Graph) -> int:
-    m = len(g.arcs) if isinstance(g, Digraph) else len(g.edges)
-    return m - len(g.vertices) + kappa(g)
+    return len(g.records) - len(g.vertices) + len(g.bfs[0])
 
 
 def find_small_circuit(g: UndirectedGraph) -> Circuit | None:
@@ -470,7 +468,7 @@ def circuits(g: Graph, max_len: int | None = None) -> list[Circuit]:
     touches (loops count twice) and connected, turned into a traversal.
     Output is canonical and sorted by (length, edge ids).
     """
-    all_ids = edge_ids(g)
+    all_ids = g.sorted_ids
     m = len(all_ids)
     if m > 20:
         raise PreconditionError("circuit enumeration is limited to <= 20 edges")
@@ -488,25 +486,25 @@ def circuits(g: Graph, max_len: int | None = None) -> list[Circuit]:
 def _subset_as_circuit(g: Graph, subset: tuple[str, ...]) -> Circuit | None:
     deg: dict[str, int] = {}
     for eid in subset:
-        a, b = _ends_of(g, eid)
+        a, b = g.by_id[eid].ends()
         deg[a] = deg.get(a, 0) + 1
         deg[b] = deg.get(b, 0) + 1
     if any(d != 2 for d in deg.values()):
         return None
     if len(subset) == 1:
         eid = subset[0]
-        a, b = _ends_of(g, eid)
+        a, b = g.by_id[eid].ends()
         return Circuit(((eid, True),)) if a == b else None
     # walk from the smallest edge id, forward
     incident: dict[str, list[str]] = {}
     for eid in subset:
-        a, b = _ends_of(g, eid)
+        a, b = g.by_id[eid].ends()
         if a == b:
             return None  # a loop plus anything else cannot have degree 2
         incident.setdefault(a, []).append(eid)
         incident.setdefault(b, []).append(eid)
     start = subset[0]
-    a, b = _ends_of(g, start)
+    a, b = g.by_id[start].ends()
     steps = [(start, True)]
     at = b
     used = {start}
@@ -516,7 +514,7 @@ def _subset_as_circuit(g: Graph, subset: tuple[str, ...]) -> Circuit | None:
             return None
         eid = nxt[0]
         used.add(eid)
-        t, h = _ends_of(g, eid)
+        t, h = g.by_id[eid].ends()
         if t == at:
             steps.append((eid, True))
             at = h

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclotomic import CyclotomicInt, cyclotomic_eval
+from .cyclotomic import CyclotomicInt
 from .errors import BoundExceeded, DEFAULT_TERM_BOUND, PreconditionError
 from .flows import ZpMap, _tension_sums, is_flow
-from .graphs import Digraph, connected_components, kappa
+from .graphs import Digraph, kappa
 from .polynomials import Mono, Poly
 
 
@@ -226,40 +226,32 @@ def flow_polynomial_raw(g: Digraph, p: int, max_terms: int | None = None) -> Pol
     return acc
 
 
-def _fold_vertex_factors(
-    g, records, ids, q: int, shift, max_terms: int, stage: str
-) -> dict[int, int]:
+def _fold_vertex_factors(g, q: int, shift, max_terms: int, stage: str) -> dict[int, int]:
     """The reduced product of the vertex factors, as packed key -> coeff.
 
     Vertex v's factor sums, over the q group elements k, the monomial that
-    moves the digit d of each non-loop arc at v to shift(d, k, sign), with
-    sign +1 at the arc's head and -1 at its tail; loops drop out. The
-    skipped vertices start the accumulator at q^kappa; see the module doc.
+    moves the digit d of each non-loop record at v to shift(d, k, sign),
+    with the record's star sign at v (+1 at its second end, -1 at its
+    first); loops drop out. The skipped vertices start the accumulator at
+    q^kappa; see the module doc.
     """
     r = q - 1
-    weight = dict(zip(ids, _weights(len(ids), r)))
-    stars: dict[str, list[tuple[int, int]]] = {v: [] for v in g.vertices}
-    near: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for rec in records:
-        tail, head = rec.ends()
-        if tail != head:
-            stars[tail].append((weight[rec.id], -1))
-            stars[head].append((weight[rec.id], 1))
-            near[tail].append(head)
-            near[head].append(tail)
-    comps = connected_components(g)
-    left = set(g.vertices) - {min(c, key=lambda v: (-len(near[v]), v)) for c in comps}
+    weights = _weights(len(g.sorted_ids), r)
+    ends = [g.by_id[i].ends() for i in g.sorted_ids]
+    degree = {v: len(star) for v, star in g.stars.items()}
+    comps = g.bfs[0]
+    left = set(g.vertices) - {min(c, key=lambda v: (-degree[v], v)) for c in comps}
     order, closed = [], dict.fromkeys(g.vertices, 0)
     while left:
-        # folding v opens its arcs to unfolded ends and closes the others
-        v = min(left, key=lambda v: (len(near[v]) - 2 * closed[v], -len(near[v]), v))
+        # folding v opens its records to unfolded ends and closes the others
+        v = min(left, key=lambda v: (degree[v] - 2 * closed[v], -degree[v], v))
         left.remove(v)
         order.append(v)
-        for w in near[v]:
-            closed[w] += 1
+        for i, s in g.stars[v]:
+            closed[ends[i][s < 0]] += 1
     acc = {0: q ** len(comps)}
     for step, v in enumerate(order, 1):
-        star = stars[v]
+        star = [(weights[i], s) for i, s in g.stars[v]]
         where = f"{stage} normal form exceeds {max_terms} terms at vertex {step} of {len(order)}"
         # each local digit state expands once into (key delta, coeff) pairs
         table: dict[tuple[int, ...], list[tuple[int, int]]] = {}
@@ -344,7 +336,7 @@ def _zp_fold(g: Digraph, p: int, max_terms: int | None) -> dict[int, int]:
         raise ValueError("p must be >= 2")
     bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
     shift = lambda d, k, sign: (d + sign * k) % p
-    return _fold_vertex_factors(g, g.arcs, g.sorted_arc_ids, p, shift, bound, f"Z_{p}")
+    return _fold_vertex_factors(g, p, shift, bound, f"Z_{p}")
 
 
 def has_nz_flow_membership(g: Digraph, p: int, max_terms: int | None = None) -> bool:
@@ -403,10 +395,3 @@ def _vertex_factor(p: int, residue: int) -> CyclotomicInt:
         factor = factor + CyclotomicInt.root_power(p, residue * i)
     return factor
 
-
-def eval_at_map(g: Digraph, f: Poly, phi: ZpMap) -> CyclotomicInt:
-    """Evaluate f at the vanishing-set point rho^phi for a nowhere-zero
-    map phi."""
-    if not phi.is_nowhere_zero:
-        raise PreconditionError("the map has a zero arc")
-    return cyclotomic_eval(f, dict(phi.values), phi.p)

@@ -3,9 +3,12 @@
 chordal_orientation realizes the inductive orientation of a bridgeless
 chordal graph: repeatedly pick a circuit of size at most three, orient it
 as a directed cycle, contract it, and recurse; the certificate records
-every step and is replayed before it is returned. Its defining property,
-that the zero map is the only 0-conformal dual four-flow, is checked by
-exhaustive enumeration rather than trusted.
+every step. Its `verified` flag means that the trace was replayed: each
+step's circuit is again the one find_small_circuit picks on the contracted
+graph, the orientation matches the recorded directions, and every edge is
+used once. The defining property, that the zero map is the only
+0-conformal dual four-flow, is not checked here;
+verify_unique_zero_conformal checks it by exhaustive enumeration.
 
 check_planar_duality ties nowhere-zero flow existence of an embedded
 digraph to conformal flow counts on its plane dual and also verifies the
@@ -21,6 +24,8 @@ from .embedding import PlaneDual, RotationSystem, plane_dual
 from .errors import PreconditionError, VerificationError
 from .flows import (
     ZpMap,
+    _tensions,
+    _zp,
     coloring_from_dual_flow,
     count_conformal_flows,
     enumerate_dual_flows,
@@ -283,13 +288,11 @@ def check_coloring_correspondence(
     orientation (reorienting only negates arc values, so existence does
     not depend on the choice). On success the tension is turned into a
     coloring, which is checked to be proper."""
-    from .flows import _tension_tuples
-
     colorable = is_p_colorable(g, p, max_states)
     d = orient(g)
     ids = d.sorted_arc_ids
     witness = None
-    for values in _tension_tuples(d, p, ids, max_states):
+    for values in _tensions(d, _zp(p), max_states):
         if all(values):
             witness = ZpMap.from_tuple(p, ids, values)
             break

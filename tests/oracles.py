@@ -3,7 +3,9 @@
 The serialisers print a normal form from its decoded Poly, sorting terms by
 dense exponent vector over the form's id tuple; the package prints straight
 from the packed keys. parity4 and is_conformal4 test Klein maps one by one;
-the package counts conformal tensions on code tuples.
+the package counts conformal tensions on code tuples. dfs_components finds
+components by depth-first search; the package reads them off one cached
+breadth-first search.
 """
 
 from __future__ import annotations
@@ -94,3 +96,28 @@ def is_conformal4(phi: KleinMap, psi: KleinMap) -> bool:
         tuple(phi.values[e]) in (tuple(psi.values[e]), (1, 1))
         for e in phi.values
     )
+
+
+def dfs_components(g) -> list[tuple[str, ...]]:
+    """Vertex partition into components, each sorted, ordered by minimum."""
+    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
+    for r in g.records:
+        a, b = r.ends()
+        adj[a].add(b)
+        adj[b].add(a)
+    seen: set[str] = set()
+    parts = []
+    for start in sorted(g.vertices):
+        if start in seen:
+            continue
+        stack = [start]
+        comp = set()
+        while stack:
+            v = stack.pop()
+            if v in comp:
+                continue
+            comp.add(v)
+            stack.extend(adj[v] - comp)
+        seen |= comp
+        parts.append(tuple(sorted(comp)))
+    return parts

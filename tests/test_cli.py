@@ -399,6 +399,15 @@ class TestMapFileErrors:
         assert code == 2
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("flag", ["--psi", "--from-dual-flow"])
+    def test_modulus_mismatch_exits_2(self, capsys, corpus_dir, flag):
+        # the map file sets p=3
+        command = "conformal" if flag == "--psi" else "color"
+        psi = corpus_dir / "example_psi_110.map"
+        code, out, err = run(capsys, command, "-p", 5, flag, psi, corpus_dir / "example.g")
+        assert code == 2 and out == ""
+        assert "has p=3, command uses p=5" in err
+
 
 class TestOutputPathStaysPacked:
     @pytest.mark.parametrize(

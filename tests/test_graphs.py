@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from families import (
     all_connected_multigraphs,
@@ -9,16 +11,20 @@ from families import (
     path,
     petersen,
     single_loop,
+    small_multigraphs,
     triangle,
 )
 from flowpoly.graphs import (
+    Arc,
     Circuit,
     Digraph,
+    Edge,
     UndirectedGraph,
     bridges,
     circuits,
     connected_components,
     contract,
+    cyclomatic_number,
     find_small_circuit,
     is_bridgeless,
     is_chordal,
@@ -26,18 +32,68 @@ from flowpoly.graphs import (
     orient,
     reverse_arcs,
 )
+from oracles import dfs_components
 
 
-def test_build_rejects_duplicate_ids():
-    with pytest.raises(ValueError):
-        Digraph.build([("e1", "a", "b"), ("e1", "b", "c")])
+KINDS = pytest.mark.parametrize(
+    "cls, record, kind",
+    [(Digraph, Arc, "arc"), (UndirectedGraph, Edge, "edge")],
+    ids=["arc", "edge"],
+)
 
 
-def test_build_rejects_dangling_endpoints():
-    from flowpoly.graphs import Arc
+@KINDS
+def test_build_rejects_duplicate_ids(cls, record, kind):
+    with pytest.raises(ValueError, match=f"^duplicate {kind} id 'e1'$"):
+        cls.build([("e1", "a", "b"), ("e1", "b", "c")])
 
-    with pytest.raises(ValueError):
-        Digraph(frozenset({"a"}), (Arc("e1", "a", "b"),))
+
+@KINDS
+def test_build_rejects_dangling_endpoints(cls, record, kind):
+    with pytest.raises(ValueError, match=f"^{kind} 'e1' endpoint 'b' not a vertex$"):
+        cls(frozenset({"a"}), (record("e1", "a", "b"),))
+
+
+class TestCore:
+    """The records, the cached search and the stars, over both kinds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_multigraphs(max_vertices=5, max_edges=6), st.booleans(), st.data())
+    def test_against_records(self, d, undirected, data):
+        g = d.underlying() if undirected else d
+        ends = [g.by_id[i].ends() for i in g.sorted_ids]
+        assert g.sorted_ids == tuple(sorted(r.id for r in g.records))
+        comps, forest = g.bfs
+        assert g.bfs is g.bfs and g.stars is g.stars
+        assert connected_components(g) == dfs_components(g) == list(comps)
+        assert kappa(g) == len(comps)
+        assert cyclomatic_number(g) == len(g.records) - len(g.vertices) + len(comps)
+
+        comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
+        roots = [comp[0] for comp in comps]
+        visited = set(roots)
+        for w, v, i, sign in forest:
+            assert w not in visited and v in visited
+            assert comp_of[w] == comp_of[v]
+            assert ends[i] == ((v, w) if sign > 0 else (w, v))
+            visited.add(w)
+        assert len(forest) == len(g.vertices) - len(comps)
+        assert visited == set(g.vertices)
+
+        for v, star in g.stars.items():
+            expected = [
+                (i, -1 if v == a else 1)
+                for i, (a, b) in enumerate(ends)
+                if a != b and v in (a, b)
+            ]
+            assert star == expected
+        assert set(g.stars) == set(g.vertices)
+
+        gone = data.draw(st.sets(st.sampled_from(g.sorted_ids)) if g.sorted_ids else st.just(set()))
+        h = contract(g, gone)
+        assert type(h) is type(g)
+        assert h.sorted_ids == tuple(i for i in g.sorted_ids if i not in gone)
+        assert kappa(h) == kappa(g)
 
 
 class TestOrient:

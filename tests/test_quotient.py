@@ -24,7 +24,6 @@ from flowpoly.polynomials import Poly
 from flowpoly.quotient import (
     QuotientPoly,
     conformal_normal_form,
-    eval_at_map,
     flow_poly_eval,
     flow_polynomial_normal_form,
     flow_polynomial_raw,
@@ -357,12 +356,6 @@ class TestEvaluation:
                 value = flow_poly_eval(d, dict(phi.values), 3).as_int()
                 assert value in (0, pv3)
                 assert value == surplus_eval(d, phi)
-
-    def test_eval_at_map(self):
-        g = example_graph()
-        raw = flow_polynomial_raw(g, 3)
-        phi = ZpMap(3, {"e1": 2, "e2": 1, "e3": 2})
-        assert eval_at_map(g, raw, phi).as_int() == 9
 
 
 class TestMainIdentity:
