@@ -19,6 +19,7 @@ from .errors import (
 )
 from .flows import (
     ConformalCount,
+    ConformalTable,
     ZpMap,
     coefficient_table,
     coloring_from_dual_flow,

@@ -5,7 +5,8 @@ input (parse or validation errors), 3 an enumeration or term bound was
 exceeded, 4 an internal error (a bug; the traceback goes to stderr).
 
 Each command builds every artifact (normal form, coefficient table,
-witness) at most once and passes it on to the checks that need it.
+witness) at most once and passes it on to the checks that need it. Output
+goes to stdout in chunks through the writers of formats.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ from .formats import (
     parse_zp_map,
     quotient_poly_to_json,
     quotient_poly_to_text,
+    table_to_json,
+    table_to_text,
     zp_map_to_json,
     zp_map_to_text,
 )
@@ -98,9 +101,10 @@ def cmd_normal_form(args) -> int:
     g = load_graph(args.file).as_digraph()
     nf = flow_polynomial_normal_form(g, args.p, max_terms=args.bound)
     if args.json:
-        sys.stdout.write(dump_json(quotient_poly_to_json(nf)))
+        dump_json(quotient_poly_to_json(nf), sys.stdout)
     else:
-        print(quotient_poly_to_text(nf))
+        quotient_poly_to_text(nf, sys.stdout)
+        sys.stdout.write("\n")
     return 0
 
 
@@ -118,7 +122,7 @@ def cmd_nz_flow(args) -> int:
         payload = {"answer": answer, "method": args.method}
         if witness is not None:
             payload["witness"] = zp_map_to_json(witness)
-        sys.stdout.write(dump_json(payload))
+        dump_json(payload, sys.stdout)
     else:
         print(_yes(answer))
         if witness is not None:
@@ -134,16 +138,13 @@ def cmd_conformal(args) -> int:
     else:
         counts = count_conformal_flows(g, psi, args.p, max_states=args.bound)
     if args.json:
-        sys.stdout.write(
-            dump_json(
-                {
-                    "dual": bool(args.dual),
-                    "even": counts.even,
-                    "odd": counts.odd,
-                    "c": counts.coefficient,
-                }
-            )
-        )
+        payload = {
+            "dual": bool(args.dual),
+            "even": counts.even,
+            "odd": counts.odd,
+            "c": counts.coefficient,
+        }
+        dump_json(payload, sys.stdout)
     else:
         kind = "dual flows" if args.dual else "flows"
         print(
@@ -155,20 +156,13 @@ def cmd_conformal(args) -> int:
 
 def cmd_coeff_table(args) -> int:
     g = load_graph(args.file).as_digraph()
-    ids = g.sorted_arc_ids
     table = coefficient_table(g, args.p, max_states=args.bound)
-    entries = [
-        {"psi": dict(zip(ids, key)), "c": c}
-        for key, c in sorted(table.items())
-    ]
     if args.json:
-        sys.stdout.write(dump_json({"p": args.p, "entries": entries}))
+        dump_json({"p": args.p, "entries": table_to_json(table)}, sys.stdout)
+    elif table:
+        table_to_text(table, sys.stdout)
     else:
-        if not entries:
-            print("(all coefficients are zero)")
-        for entry in entries:
-            psi = "; ".join(f"{a}={entry['psi'][a]}" for a in ids)
-            print(f"c({psi}) = {entry['c']}")
+        print("(all coefficients are zero)")
     return 0
 
 
@@ -180,42 +174,32 @@ def cmd_four_flow(args) -> int:
     answer = _three_way_answer(
         not nf.is_zero, any(c != 0 for c in table.values()), witness is not None
     )
-    payload = {
-        "normal_form": pair_poly_to_json(nf),
-        "nz_four_flow": answer,
-    }
-    if witness is not None:
-        payload["witness"] = klein_map_to_json(witness)
-    if args.table:
-        ids = g.sorted_edge_ids
-        payload["table"] = [
-            {"psi": {e: list(v) for e, v in zip(ids, key)}, "c": c}
-            for key, c in sorted(table.items())
-        ]
     if args.json:
-        sys.stdout.write(dump_json(payload))
-    else:
-        print(f"nowhere-zero four-flow: {_yes(answer)}")
-        print(f"normal form: {pair_poly_to_text(nf)}")
+        payload = {"normal_form": pair_poly_to_json(nf), "nz_four_flow": answer}
         if witness is not None:
-            pairs = "; ".join(
-                f"{e}=({v[0]},{v[1]})" for e, v in sorted(witness.values.items())
-            )
-            print(f"witness: {pairs}")
+            payload["witness"] = klein_map_to_json(witness)
         if args.table:
-            for entry in payload["table"]:
-                psi = "; ".join(
-                    f"{e}=({v[0]},{v[1]})"
-                    for e, v in sorted(entry["psi"].items())
-                )
-                print(f"c({psi}) = {entry['c']}")
+            payload["table"] = table_to_json(table)
+        dump_json(payload, sys.stdout)
+        return 0
+    print(f"nowhere-zero four-flow: {_yes(answer)}")
+    sys.stdout.write("normal form: ")
+    pair_poly_to_text(nf, sys.stdout)
+    sys.stdout.write("\n")
+    if witness is not None:
+        pairs = "; ".join(
+            f"{e}=({v[0]},{v[1]})" for e, v in sorted(witness.values.items())
+        )
+        print(f"witness: {pairs}")
+    if args.table:
+        table_to_text(table, sys.stdout)
     return 0
 
 
 def cmd_chordal_orient(args) -> int:
     g = load_graph(args.file).as_undirected()
     cert = chordal_orientation(g)
-    sys.stdout.write(dump_json(cert.as_dict()))
+    dump_json(cert.as_dict(), sys.stdout)
     return 0
 
 
@@ -227,7 +211,7 @@ def cmd_planar_check(args) -> int:
     report = check_planar_duality(
         g, parsed.rotation, args.p, max_states=args.bound, max_terms=args.bound
     )
-    sys.stdout.write(dump_json(report.as_dict()))
+    dump_json(report.as_dict(), sys.stdout)
     return 0 if (report.agrees and report.bijection_ok) else 1
 
 
@@ -249,13 +233,13 @@ def cmd_color(args) -> int:
         phi = _read_map(args.from_dual_flow, d, args.p, "the dual flow")
         omega = coloring_from_dual_flow(d, phi)
         if args.json:
-            sys.stdout.write(dump_json({"coloring": omega}))
+            dump_json({"coloring": omega}, sys.stdout)
         else:
             print("; ".join(f"{v}={omega[v]}" for v in sorted(omega)))
         return 0
     answer = is_p_colorable(g, args.p, max_states=args.bound)
     if args.json:
-        sys.stdout.write(dump_json({"colorable": answer, "p": args.p}))
+        dump_json({"colorable": answer, "p": args.p}, sys.stdout)
     else:
         print(_yes(answer))
     return 0

@@ -21,20 +21,31 @@ leaves up, and the flow test sums each star, so none of them rebuilds
 incidence data.
 
 The conformal table c(psi) is aggregated on packed keys. A map is the
-base-q integer with the code of the arc at position i at weight q^i, and
-the maps are counted into one dict. The top code q-1 is then swept out one
-arc at a time: each key whose digit there is q-1 moves, negated, to the q-1
-keys with digits 0..q-2 there, and the dict is rebuilt without zero entries
-after each arc. What is left is c(psi) at the key of psi. The work bound
-still counts (q-1)^|hot| per map, the size of its box of conformal psi,
-and is checked while counting, before any sweep.
+base-q integer with the code of the arc at position i of n at weight
+q^(n-1-i), the first arc the most significant digit, so that integer key
+order is the lexicographic order of the value tuples; the maps are counted
+into one dict. The top code q-1 is then swept out one arc at a time: each
+key whose digit there is q-1 moves, negated, to the q-1 keys with digits
+0..q-2 there, and the dict is rebuilt without zero entries after each arc.
+What is left is c(psi) at the key of psi. The work bound still counts
+(q-1)^|hot| per map, the size of its box of conformal psi, and is checked
+while counting, before any sweep. A ConformalTable holds those keys: its
+length, its values and the rows the writers of formats print are read off
+them packed, and a lookup by value tuple decodes them once.
+
+Packed keys of both tables and normal forms convert a few digits at a time:
+_chunk_tables splits the digit positions into runs and tabulates a value
+per run for every digit pattern, and _convert adds up one looked-up value
+per run for each key. _text_batches joins text fragments that way, a batch
+of keys at a time, for the writers.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import product
-from operator import eq, mul
+from itertools import islice, product
+from operator import add, eq, mul
 
 from .errors import (
     BoundExceeded,
@@ -396,12 +407,67 @@ def _check_psi(g: Digraph, psi: ZpMap, p: int):
         raise ValueError("psi must avoid the maximal label p-1")
 
 
+def _weights(n: int, r: int) -> list[int]:
+    """Key weights of n radix-r digits, the first the most significant, so
+    that integer key order is the lexicographic order of the digit vectors."""
+    return [r ** (n - 1 - i) for i in range(n)]
+
+
+_CHUNK = 4096  # most entries of one look-up table, and keys per batch
+
+
+def _chunk_tables(n: int, r: int, cell, count: int) -> list[tuple[int, int, list]]:
+    """Look-up tables for the digits of n-digit radix-r keys with the
+    weights of _weights. The positions split into runs of near-equal width,
+    each tabulating at most _CHUNK digit patterns, and past one digit
+    no more than the `count` keys to convert. A run's (weight, size, table)
+    has table[key // weight % size] = cell(start, digits), for the run's
+    digits from position start on."""
+    limit = min(_CHUNK, count)
+    width = 1
+    while width < n and r ** (width + 1) <= limit:
+        width += 1
+    runs = -(-n // width)
+    tables, start = [], 0
+    for left in range(runs, 0, -1):
+        w = -(-(n - start) // left)
+        cells = [cell(start, digits) for digits in product(range(r), repeat=w)]
+        tables.append((r ** (n - start - w), r**w, cells))
+        start += w
+    return tables or [(1, 1, [cell(0, ())])]
+
+
+def _convert(keys, tables):
+    """For each key, in order, its cells of _chunk_tables added up with +,
+    converted _CHUNK keys at a time."""
+    (w, m, cells), *rest = tables
+    keys = iter(keys)
+    while batch := list(islice(keys, _CHUNK)):
+        out = [cells[k // w % m] for k in batch]
+        for w2, m2, cells2 in rest:
+            out = list(map(add, out, [cells2[k // w2 % m2] for k in batch]))
+        yield from out
+
+
+def _text_batches(packed: dict[int, int], r: int, frags, descending=False, rekey=None):
+    """(coefficients, texts) per batch of the keys of packed in key order.
+    A key's text joins frags[i][d] over its radix-r digits d, position i
+    the most significant, after the chunk tables `rekey` convert it."""
+    cell = lambda start, digits: "".join([frags[start + j][d] for j, d in enumerate(digits)])
+    tables = _chunk_tables(len(frags), r, cell, len(packed))
+    keys = sorted(packed, reverse=descending)
+    for i in range(0, len(keys), _CHUNK):
+        batch = keys[i : i + _CHUNK]
+        coeffs = [packed[k] for k in batch]
+        yield coeffs, _convert(_convert(batch, rekey) if rekey else batch, tables)
+
+
 def _conformal_sums(tuples, q: int, n: int, max_work: int | None) -> dict[int, int]:
     """The packed table c(psi) of the code tuples of length n: each map
     adds (-1)^|hot| at every psi agreeing with it off its top codes."""
     bound = DEFAULT_TERM_BOUND if max_work is None else max_work
     top = q - 1
-    weights = [q**i for i in range(n)]
+    weights = _weights(n, q)
     box = [top**h for h in range(n + 1)]
     acc: dict[int, int] = {}
     work = 0
@@ -423,40 +489,69 @@ def _conformal_sums(tuples, q: int, n: int, max_work: int | None) -> dict[int, i
 
 def _decode(acc: dict[int, int], q: int, n: int, values) -> dict[tuple, int]:
     """Packed keys back to tuples of values[digit]."""
-    table = {}
-    for key, c in acc.items():
-        digits = []
-        for _ in range(n):
-            key, d = divmod(key, q)
-            digits.append(values[d])
-        table[tuple(digits)] = c
-    return table
+    cell = lambda start, digits: tuple([values[d] for d in digits])
+    return dict(zip(_convert(acc, _chunk_tables(n, q, cell, len(acc))), acc.values()))
+
+
+class ConformalTable(Mapping):
+    """c(psi) for every psi with a nonzero value, keyed by psi's value tuple
+    over `ids`: a read-only mapping on the packed base-q keys of
+    _conformal_sums, code k standing for code_values[k]. Lookups decode the
+    keys once; len, values() and the writers of formats read them packed."""
+
+    def __init__(self, ids: tuple[str, ...], code_values: tuple, packed: dict[int, int]):
+        self.ids, self.code_values, self._packed = ids, code_values, packed
+        self._decoded = None
+
+    def _table(self) -> dict[tuple, int]:
+        if self._decoded is None:
+            q, n = len(self.code_values), len(self.ids)
+            self._decoded = _decode(self._packed, q, n, self.code_values)
+        return self._decoded
+
+    def __getitem__(self, psi: tuple) -> int:
+        return self._table()[psi]
+
+    def __iter__(self):
+        return iter(self._table())
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def values(self):
+        return self._packed.values()
+
+    def text_batches(self, frag):
+        """(coefficients, texts) per batch of psi in ascending order, read
+        off the packed keys: a text joins frag(id, code) over every id."""
+        frags = [[frag(i, k) for k in range(len(self.code_values))] for i in self.ids]
+        return _text_batches(self._packed, len(self.code_values), frags)
+
+    def __repr__(self) -> str:
+        return f"ConformalTable({self._table()!r})"
 
 
 def _tension_sums(g: Digraph, p: int, max_states) -> dict[int, int]:
     return _conformal_sums(_tensions(g, _zp(p), max_states), p, len(g.arcs), max_states)
 
 
-def coefficient_table(
-    g: Digraph, p: int, max_states: int | None = None
-) -> dict[tuple[int, ...], int]:
+def coefficient_table(g: Digraph, p: int, max_states: int | None = None) -> ConformalTable:
     """c(psi) for every psi with a nonzero value, keyed by the psi value
     tuple over g.sorted_arc_ids.
 
     Every tension contributes its sign to each psi that agrees with it off
     the arcs carrying p-1 (those arcs range freely over 0..p-2).
     """
-    return _decode(_tension_sums(g, p, max_states), p, len(g.arcs), _zp(p).label)
+    return ConformalTable(g.sorted_arc_ids, _zp(p).label, _tension_sums(g, p, max_states))
 
 
 def flow_conformal_table(
     g: Digraph, p: int, max_states: int | None = None
-) -> dict[tuple[int, ...], int]:
+) -> ConformalTable:
     """Like coefficient_table but aggregated over flows instead of
     tensions; used by the plane-duality report."""
-    n = len(g.arcs)
-    acc = _conformal_sums(_flow_tuples(g, p, max_states), p, n, max_states)
-    return _decode(acc, p, n, _zp(p).label)
+    acc = _conformal_sums(_flow_tuples(g, p, max_states), p, len(g.arcs), max_states)
+    return ConformalTable(g.sorted_arc_ids, _zp(p).label, acc)
 
 
 def find_nz_flow(g: Digraph, p: int, max_states: int | None = None) -> ZpMap | None:

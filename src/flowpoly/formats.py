@@ -1,4 +1,4 @@
-"""Text and JSON forms for graphs, maps, and polynomials.
+"""Text and JSON forms for graphs, maps, normal forms and coefficient tables.
 
 Graph text format, one record per line, `#` starts a comment:
 
@@ -9,6 +9,19 @@ Graph text format, one record per line, `#` starts a comment:
 
 A file is directed or undirected, never both. Ids are alphanumeric
 tokens (underscores allowed).
+
+Output is byte-stable and streamed. dump_json is the one JSON writer: it
+prints, byte for byte, what the standard library's encoder prints with
+sorted keys and a two-space indent, plus a newline, for dicts with str
+keys, lists, tuples, str, int, bool and None, and writes it to a stream in
+chunks. A Rows value is a list rendered lazily, one batch of item texts at
+a time. Normal forms and coefficient tables print as Rows in JSON and as
+chunked text. Each term or row joins per-(id, digit) fragments built once
+per call, such as `"a": 2`, `a^2` or `e1=(0,1)`; the forms and tables join
+them straight from their packed keys (text_batches), a few digits at a
+time. No term dict, payload list or whole-document string is built, so
+printing holds no more than the packed form, its sorted keys and one batch
+of rows.
 """
 
 from __future__ import annotations
@@ -16,9 +29,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 from .embedding import End, RotationSystem
 from .errors import GraphFormatError
+from .flows import ConformalTable
 from .fourflow import KleinMap, PairQuotientPoly
 from .graphs import Digraph, UndirectedGraph, orient
 from .quotient import QuotientPoly
@@ -185,46 +201,171 @@ def klein_map_to_json(m: KleinMap) -> dict:
     return {"values": {e: list(m.values[e]) for e in sorted(m.values)}}
 
 
-def _terms_to_json(q, exp) -> list[dict]:
-    """Terms by ascending exponent vector; `exp` renders a digit."""
-    return [
-        {"coeff": str(c), "exps": {i: exp(d) for i, d in digits}}
-        for c, digits in q.digit_terms()
-    ]
+_FLUSH = 1 << 16  # characters gathered before each write
 
 
-def _terms_to_text(q, factor) -> str:
-    """Terms by descending exponent vector; `factor` renders an id and its
-    nonzero digit."""
-    bits = []
-    for c, digits in q.digit_terms(descending=True):
-        factors = [factor(i, d) for i, d in digits]
-        if abs(c) != 1 or not factors:
-            factors.insert(0, str(abs(c)))
-        body = "*".join(factors)
-        if bits:
-            bits.append(f"- {body}" if c < 0 else f"+ {body}")
-        else:
-            bits.append(f"-{body}" if c < 0 else body)
-    return " ".join(bits) if bits else "0"
+def _emit(chunks, out):
+    """The joined chunks, or None once they are written to out, a few
+    chunks per write."""
+    if out is None:
+        return "".join(chunks)
+    buf, size = [], 0
+    for chunk in chunks:
+        buf.append(chunk)
+        size += len(chunk)
+        if size >= _FLUSH:
+            out.write("".join(buf))
+            buf, size = [], 0
+    out.write("".join(buf))
+
+
+def _indent(depth: int) -> str:
+    return "\n" + "  " * depth
+
+
+class Rows:
+    """A JSON list that dump_json renders lazily: render(depth) yields
+    batches of item texts, each item nested `depth` levels deep. Iterating
+    parses the items back, so Rows equal the list they print as."""
+
+    def __init__(self, render):
+        self._render = render
+
+    def chunks(self, depth: int):
+        inner = _indent(depth + 1)
+        lead = "[" + inner
+        for batch in self._render(depth + 1):
+            if batch:
+                yield lead + ("," + inner).join(batch)
+                lead = "," + inner
+        yield "[]" if lead[0] == "[" else _indent(depth) + "]"
+
+    def __iter__(self):
+        for batch in self._render(0):
+            yield from map(json.loads, batch)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Rows)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def _json(obj, depth: int):
+    """The chunks of obj's canonical JSON text, nested `depth` levels deep."""
+    if isinstance(obj, str):
+        yield _quote(obj)
+    elif obj is None:
+        yield "null"
+    elif obj is True:
+        yield "true"
+    elif obj is False:
+        yield "false"
+    elif isinstance(obj, int):
+        yield int.__repr__(obj)
+    elif isinstance(obj, Rows):
+        yield from obj.chunks(depth)
+    elif isinstance(obj, dict):
+        # _quote refuses a key that is not a str
+        items = ((_quote(key) + ": ", obj[key]) for key in sorted(obj))
+        yield from _nested("{", "}", items, depth)
+    elif isinstance(obj, (list, tuple)):
+        yield from _nested("[", "]", (("", item) for item in obj), depth)
+    else:
+        raise TypeError(f"{type(obj).__name__} is not a JSON value here")
+
+
+def _nested(start: str, end: str, items, depth: int):
+    """A dict's or a list's chunks from (prefix, value) items."""
+    inner = _indent(depth + 1)
+    lead = start + inner
+    for prefix, value in items:
+        yield lead + prefix
+        yield from _json(value, depth + 1)
+        lead = "," + inner
+    yield start + end if lead[0] == start else _indent(depth) + end
+
+
+def _json_text(obj, depth: int) -> str:
+    return "".join(_json(obj, depth))
+
+
+def dump_json(obj, out=None):
+    """Canonical JSON: sorted keys, two-space indent, trailing newline, as
+    the standard library's encoder prints it. Returned, or written to out
+    in chunks when out is given."""
+    return _emit(chain(_json(obj, 0), ("\n",)), out)
+
+
+def _json_rows(batches, value, first: str, second: str, quoted: bool) -> Rows:
+    """Rows of {first: c, second: {id: value(code), ...}} items from the
+    text_batches(frag) of a form or a table; c prints as a JSON string when
+    quoted. The keys first < second print in that order."""
+
+    def render(depth):
+        i1, i2 = _indent(depth + 1), _indent(depth + 2)
+        mark = '"' if quoted else ""
+        head, mid, end = f'{{{i1}"{first}": {mark}', f'{mark},{i1}"{second}": ', _indent(depth) + "}"
+        frag = lambda i, k: f",{i2}{_quote(i)}: {_json_text(value(k), depth + 2)}"
+        for coeffs, texts in batches(frag):
+            yield [
+                f"{head}{c}{mid}{{{s[1:]}{i1}}}{end}" if s else f"{head}{c}{mid}{{}}{end}"
+                for c, s in zip(coeffs, texts)
+            ]
+
+    return Rows(render)
+
+
+def _text_terms(q, factor):
+    """Chunks of the signed sum of terms by descending key; `factor`
+    renders an id and its nonzero digit, and the factors of a term follow
+    the sorted ids."""
+    lead = ""
+    for coeffs, texts in q.text_batches(lambda i, d: "*" + factor(i, d), True):
+        terms = [
+            ("- " if c < 0 else "+ ")
+            + (s[1:] if s and c in (1, -1) else f"{abs(c)}{s}")
+            for c, s in zip(coeffs, texts)
+        ]
+        if not lead:
+            first = terms[0]
+            terms[0] = first[2:] if first[0] == "+" else "-" + first[2:]
+        yield lead + " ".join(terms)
+        lead = " "
+    if not lead:
+        yield "0"
 
 
 def quotient_poly_to_json(q: QuotientPoly) -> dict:
-    return {"p": q.p, "terms": _terms_to_json(q, lambda d: d)}
+    return {"p": q.p, "terms": _json_rows(q.text_batches, int, "coeff", "exps", True)}
 
 
-def quotient_poly_to_text(q: QuotientPoly) -> str:
-    return _terms_to_text(q, lambda a, d: f"{a}^{d}" if d > 1 else a)
+def quotient_poly_to_text(q: QuotientPoly, out=None):
+    """The text form, returned or written to out."""
+    return _emit(_text_terms(q, lambda a, d: f"{a}^{d}" if d > 1 else a), out)
 
 
 def pair_poly_to_json(q: PairQuotientPoly) -> dict:
-    return {"terms": _terms_to_json(q, lambda d: [d >> 1, d & 1])}
+    pair = lambda d: (d >> 1, d & 1)
+    return {"terms": _json_rows(q.text_batches, pair, "coeff", "exps", True)}
 
 
-def pair_poly_to_text(q: PairQuotientPoly) -> str:
-    return _terms_to_text(q, lambda e, d: f"x_{e}" if d == 2 else f"y_{e}")
+def pair_poly_to_text(q: PairQuotientPoly, out=None):
+    """The text form, returned or written to out."""
+    return _emit(_text_terms(q, lambda e, d: f"x_{e}" if d == 2 else f"y_{e}"), out)
 
 
-def dump_json(obj) -> str:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def table_to_json(table: ConformalTable) -> Rows:
+    """{"c", "psi"} items by ascending psi; psi maps every id to its value."""
+    return _json_rows(table.text_batches, table.code_values.__getitem__, "c", "psi", False)
+
+
+def table_to_text(table: ConformalTable, out=None):
+    """One `c(a=0; b=1) = 2` line per psi by ascending psi, returned or
+    written to out; a pair value prints as (0,1)."""
+    text = lambda v: f"({v[0]},{v[1]})" if isinstance(v, tuple) else str(v)
+    values = [text(v) for v in table.code_values]
+    lines = (
+        "".join([f"c({s[2:]}) = {c}\n" for c, s in zip(coeffs, texts)])
+        for coeffs, texts in table.text_batches(lambda i, k: f"; {i}={values[k]}")
+    )
+    return _emit(lines, out)

@@ -34,18 +34,19 @@ from dataclasses import dataclass
 
 from .errors import DEFAULT_TERM_BOUND, VerificationError
 from .flows import (
+    ConformalTable,
     _Group,
     _circulations,
     _conformal_sums,
     _count_conformal,
-    _decode,
     _flow_test,
     _potentials,
     _tensions,
+    _weights,
 )
 from .graphs import UndirectedGraph, kappa
 from .polynomials import Poly
-from .quotient import _PackedForm, _fold_vertex_factors, _reduce_digits, _repack, _weights
+from .quotient import _PackedForm, _fold_vertex_factors, _reduce_digits, _repack
 
 KleinPair = tuple[int, int]
 
@@ -320,10 +321,10 @@ def _klein_sums(g: UndirectedGraph, max_states) -> dict[int, int]:
 
 def four_flow_coefficient_table(
     g: UndirectedGraph, max_states: int | None = None
-) -> dict[tuple[KleinPair, ...], int]:
+) -> ConformalTable:
     """c(psi) over the nowhere-(1,1) maps psi, keyed by value tuples over
     g.sorted_edge_ids; zero entries dropped."""
-    return _decode(_klein_sums(g, max_states), 4, len(g.edges), KLEIN)
+    return ConformalTable(g.sorted_edge_ids, KLEIN, _klein_sums(g, max_states))
 
 
 def conformal_pair_normal_form(

@@ -24,26 +24,22 @@ one end folded, then the one of most arcs, then the least id.
 
 A normal form holds only its packed keys, however it is built: the fold,
 the conformal route and `normalize` hand theirs over, and the constructor
-packs the Poly it is given. `is_zero`, `==` and the writers of formats read the
-keys; `.poly` decodes them on each use. The conformal route re-encodes
-its table's base-p keys, which lack the top digit, in radix p-1.
+packs the Poly it is given. `is_zero`, `==` and `text_batches`, which the
+writers of formats print from, read the keys; `.poly` decodes them on each
+use. The conformal route re-encodes its table's base-p keys, which lack the
+top digit, in radix p-1.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 from .cyclotomic import CyclotomicInt
 from .errors import BoundExceeded, DEFAULT_TERM_BOUND, PreconditionError
-from .flows import ZpMap, _tension_sums, is_flow
+from .flows import ZpMap, _chunk_tables, _convert, _tension_sums, _text_batches, _weights, is_flow
 from .graphs import Digraph, kappa
 from .polynomials import Mono, Poly
-
-
-def _weights(n: int, r: int) -> list[int]:
-    """Key weights of n radix-r digits, the first the most significant, so
-    that integer key order is the lexicographic order of the digit vectors."""
-    return [r ** (n - 1 - i) for i in range(n)]
 
 
 class _PackedForm:
@@ -83,13 +79,20 @@ class _PackedForm:
         packed = {k: v * c for k, v in self._packed.items()} if c else {}
         return self._of(self._ids, self._radix, packed)
 
-    def digit_terms(self, descending: bool = False):
-        """(coefficient, [(id, digit), ...]) per term in key order, that is
-        lexicographic exponent order over `_ids`; each term lists its
-        nonzero digits in sorted-id order."""
-        r, by_id = self._radix, self._by_id()
-        for key in sorted(self._packed, reverse=descending):
-            yield self._packed[key], [(i, d) for i, w in by_id if (d := key // w % r)]
+    def text_batches(self, frag, descending: bool = False):
+        """(coefficients, texts) per batch of terms in key order, that is
+        lexicographic exponent order over `_ids`. A text joins frag(id, d)
+        over the nonzero digits d in sorted-id order, so keys over unsorted
+        ids are first re-keyed with the weights of the sorted positions."""
+        ids, r, n = self._ids, self._radix, len(self._ids)
+        by_id = sorted(range(n), key=ids.__getitem__)
+        frags = [[""] + [frag(ids[i], d) for d in range(1, r)] for i in by_id]
+        rekey = None
+        if by_id != list(range(n)):
+            weight = dict(zip(by_id, _weights(n, r)))
+            cell = lambda start, digits: sum(d * weight[start + j] for j, d in enumerate(digits))
+            rekey = _chunk_tables(n, r, cell, len(self._packed))
+        return _text_batches(self._packed, r, frags, descending, rekey)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -317,8 +320,10 @@ def _unpack(acc: dict[int, int], r: int, weights, columns) -> dict[Mono, int]:
 def _repack(acc: dict[int, int], q: int, n: int, scale: int) -> dict[int, int]:
     """Base-q keys of n digits without the top digit q-1, such as a
     conformal table's, as radix-(q-1) keys, each coefficient times scale."""
-    weights = list(zip([q**i for i in range(n)], _weights(n, q - 1)))
-    return {sum(key // a % q * b for a, b in weights): c * scale for key, c in acc.items()}
+    weights = _weights(n, q - 1)
+    cell = lambda start, digits: sum(map(mul, digits, weights[start:]))
+    keys = _convert(acc, _chunk_tables(n, q, cell, len(acc)))
+    return {key: c * scale for key, c in zip(keys, acc.values())}
 
 
 def flow_polynomial_normal_form(
@@ -368,8 +373,8 @@ def surplus_eval(g: Digraph, phi: ZpMap) -> int:
 
 def flow_poly_eval(g: Digraph, assignment: dict[str, int], p: int) -> CyclotomicInt:
     """Exact evaluation of the flow polynomial at x_e = rho^k_e, factor by
-    factor (no expansion). Same ring element as evaluating the raw
-    polynomial; the tests check that."""
+    factor (no expansion), stopping at the first zero factor. Same ring
+    element as evaluating the raw polynomial; the tests check that."""
     if set(assignment) != set(g.arc_by_id):
         raise ValueError("assignment domain does not match the arc set")
     for a, k in assignment.items():
@@ -382,7 +387,10 @@ def flow_poly_eval(g: Digraph, assignment: dict[str, int], p: int) -> Cyclotomic
             exp += assignment[a.id]
         for a in g.out_arcs(v):
             exp += (p - 1) * assignment[a.id]
-        result = result * _vertex_factor(p, exp % p)
+        factor = _vertex_factor(p, exp % p)
+        if factor.is_zero:
+            return factor
+        result = result * factor
     return result
 
 

@@ -1,14 +1,18 @@
 """Slow, obviously-correct references that the package is tested against.
 
 The serialisers print a normal form from its decoded Poly, sorting terms by
-dense exponent vector over the form's id tuple; the package prints straight
-from the packed keys. parity4 and is_conformal4 test Klein maps one by one;
+dense exponent vector over the form's id tuple, and a coefficient table from
+its decoded items; they build the whole payload and print it with the
+standard encoder (dump_json). The package streams both straight from the
+packed keys through its own writer. parity4 and is_conformal4 test Klein maps one by one;
 the package counts conformal tensions on code tuples. dfs_components finds
 components by depth-first search; the package reads them off one cached
 breadth-first search.
 """
 
 from __future__ import annotations
+
+import json
 
 from flowpoly.fourflow import KleinMap, xvar, yvar
 
@@ -80,6 +84,28 @@ def pair_poly_to_text(q) -> str:
         )
         for mono, coeff in sorted_terms(q.poly, _pair_variables(q), reverse=True)
     )
+
+
+def dump_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def table_entries(table) -> list[dict]:
+    """{"psi", "c"} items by ascending psi; a Klein pair prints as a list."""
+    value = lambda v: list(v) if isinstance(v, tuple) else v
+    return [
+        {"psi": {i: value(v) for i, v in zip(table.ids, key)}, "c": c}
+        for key, c in sorted(table.items())
+    ]
+
+
+def table_to_text(table) -> str:
+    value = lambda v: f"({v[0]},{v[1]})" if isinstance(v, tuple) else str(v)
+    lines = []
+    for key, c in sorted(table.items()):
+        psi = "; ".join(f"{i}={value(v)}" for i, v in zip(table.ids, key))
+        lines.append(f"c({psi}) = {c}\n")
+    return "".join(lines)
 
 
 def parity4(phi: KleinMap) -> str:

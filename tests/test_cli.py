@@ -6,8 +6,23 @@ from collections import Counter
 
 import pytest
 
+import oracles
 from flowpoly import cli
 from flowpoly.cli import main
+from flowpoly.flows import (
+    coefficient_table,
+    count_conformal_flows,
+    find_nz_flow,
+    is_p_colorable,
+)
+from flowpoly.formats import load_graph, parse_zp_map
+from flowpoly.fourflow import (
+    find_nz_four_flow,
+    four_flow_coefficient_table,
+    four_flow_polynomial_normal_form,
+)
+from flowpoly.quotient import flow_polynomial_normal_form
+from flowpoly.structure import chordal_orientation, check_planar_duality
 
 
 def run(capsys, *argv):
@@ -411,13 +426,115 @@ class TestMapFileErrors:
 
 class TestOutputPathStaysPacked:
     @pytest.mark.parametrize(
-        "argv", [["normal-form", "-p", 3, "--json"], ["four-flow", "--json"]]
+        "argv",
+        [
+            ["normal-form", "-p", 3, "--json"],
+            ["four-flow", "--json"],
+            ["four-flow", "--json", "--table"],
+            ["coeff-table", "-p", 3, "--json"],
+        ],
     )
     def test_json_output_never_decodes(self, capsys, monkeypatch, corpus_dir, argv):
-        def refuse(*args):
-            raise AssertionError("a normal form was decoded on the output path")
+        # no decoded form or table, no payload list and no standard encoder
+        def refuse(*args, **kwargs):
+            raise AssertionError("a payload was built on the output path")
 
         monkeypatch.setattr("flowpoly.quotient._unpack", refuse)
+        monkeypatch.setattr("flowpoly.flows._decode", refuse)
+        monkeypatch.setattr("flowpoly.formats.json.dumps", refuse)
+        for name in ("quotient_poly_to_json", "pair_poly_to_json", "table_entries", "dump_json"):
+            monkeypatch.setattr(oracles, name, refuse)
         code, out, _ = run(capsys, *argv, corpus_dir / "k4.g")
+        monkeypatch.undo()
         assert code == 0
         assert json.loads(out)
+
+
+def _reference_output(argv, path):
+    """What the command prints, built from the API through the oracle
+    serialisers and the standard encoder."""
+    parsed = load_graph(path)
+    d, u = parsed.as_digraph(), parsed.as_undirected()
+    command, flags = argv[0], set(argv)
+    p = int(argv[argv.index("-p") + 1]) if "-p" in flags else None
+    if command == "normal-form":
+        nf = flow_polynomial_normal_form(d, p)
+        if "--json" in flags:
+            return oracles.dump_json(oracles.quotient_poly_to_json(nf))
+        return oracles.quotient_poly_to_text(nf) + "\n"
+    if command == "coeff-table":
+        table = coefficient_table(d, p)
+        if "--json" in flags:
+            return oracles.dump_json({"p": p, "entries": oracles.table_entries(table)})
+        return oracles.table_to_text(table) or "(all coefficients are zero)\n"
+    if command == "four-flow":
+        nf, table = four_flow_polynomial_normal_form(u), four_flow_coefficient_table(u)
+        witness = find_nz_four_flow(u)
+        if "--json" not in flags:
+            lines = [
+                f"nowhere-zero four-flow: {'YES' if witness else 'NO'}\n",
+                f"normal form: {oracles.pair_poly_to_text(nf)}\n",
+            ]
+            if witness is not None:
+                pairs = "; ".join(f"{e}=({a},{b})" for e, (a, b) in sorted(witness.values.items()))
+                lines.append(f"witness: {pairs}\n")
+            return "".join(lines) + oracles.table_to_text(table)
+        payload = {"normal_form": oracles.pair_poly_to_json(nf), "nz_four_flow": witness is not None}
+        if witness is not None:
+            payload["witness"] = {"values": {e: list(v) for e, v in witness.values.items()}}
+        payload["table"] = oracles.table_entries(table)
+        return oracles.dump_json(payload)
+    if command == "nz-flow":
+        witness = find_nz_flow(d, p)
+        payload = {"answer": witness is not None, "method": "brute"}
+        if witness is not None:
+            payload["witness"] = {"p": p, "values": dict(witness.values)}
+        return oracles.dump_json(payload)
+    if command == "conformal":
+        with open(argv[argv.index("--psi") + 1]) as fh:
+            psi = parse_zp_map(fh.read())
+        counts = count_conformal_flows(d, psi, p)
+        payload = {"dual": False, "even": counts.even, "odd": counts.odd, "c": counts.coefficient}
+        return oracles.dump_json(payload)
+    if command == "color":
+        return oracles.dump_json({"colorable": is_p_colorable(u, p), "p": p})
+    if command == "chordal-orient":
+        return oracles.dump_json(chordal_orientation(u).as_dict())
+    if command == "planar-check":
+        return oracles.dump_json(check_planar_duality(d, parsed.rotation, p).as_dict())
+    raise ValueError(command)
+
+
+def _differential_cases():
+    graphs = ("example", "c3", "k4", "diamond", "bowtie", "w4", "triangle_multi",
+              "parallel3", "two_triangles_disjoint", "single_loop", "path3")
+    for name in graphs:
+        for p in ("2", "3", "4", "5"):
+            yield name, ("normal-form", "-p", p, "--json")
+            yield name, ("normal-form", "-p", p)
+            yield name, ("coeff-table", "-p", p, "--json")
+            yield name, ("coeff-table", "-p", p)
+        yield name, ("four-flow", "--json", "--table")
+        yield name, ("four-flow", "--table")
+        yield name, ("nz-flow", "-p", "3", "--method", "brute", "--json")
+        yield name, ("color", "-p", "3", "--json")
+    yield "example", ("conformal", "-p", "3", "--psi", "PSI", "--json")
+    yield "k4", ("chordal-orient",)
+    for p in ("2", "3", "4"):
+        yield "k4_embedded", ("planar-check", "-p", p)
+
+
+class TestOutputAgainstOracles:
+    """Every JSON-emitting command, and the normal-form, coeff-table and
+    four-flow --table text, against the reference serialisers: same bytes."""
+
+    @pytest.mark.parametrize(
+        "name,argv", [pytest.param(n, a, id=f"{n}:{' '.join(a)}") for n, a in _differential_cases()]
+    )
+    def test_same_bytes(self, capsys, corpus_dir, name, argv):
+        psi = str(corpus_dir / "example_psi_110.map")
+        argv = [psi if a == "PSI" else a for a in argv]
+        path = corpus_dir / f"{name}.g"
+        code, out, err = run(capsys, *argv, path)
+        assert code == 0, err
+        assert out == _reference_output(argv, path)

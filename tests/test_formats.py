@@ -1,14 +1,16 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from families import small_multigraphs
 from flowpoly.errors import GraphFormatError
-from flowpoly.flows import ZpMap
+from flowpoly.flows import ZpMap, coefficient_table, flow_conformal_table
 from flowpoly.formats import (
+    Rows,
+    _json_text,
     dump_json,
     graph_to_text,
     klein_map_to_json,
@@ -19,12 +21,15 @@ from flowpoly.formats import (
     parse_zp_map,
     quotient_poly_to_json,
     quotient_poly_to_text,
+    table_to_json,
+    table_to_text,
     zp_map_to_json,
     zp_map_to_text,
 )
 from flowpoly.fourflow import (
     PairQuotientPoly,
     conformal_pair_normal_form,
+    four_flow_coefficient_table,
     four_flow_polynomial_normal_form,
 )
 from flowpoly.polynomials import Poly
@@ -153,7 +158,14 @@ class TestPolyForms:
 
 
 class TestWritersAgainstPolyReference:
-    """The packed-key writers print what the Poly-based reference prints."""
+    """The packed-key writers print the bytes the Poly-based reference prints
+    through the standard encoder."""
+
+    @staticmethod
+    def check(q, to_text, to_json, ref_text, ref_json):
+        assert to_text(q) == ref_text(q)
+        assert dump_json(to_json(q)) == oracles.dump_json(ref_json(q))
+        assert to_json(q) == ref_json(q)  # Rows equal the list they print as
 
     @given(g=small_multigraphs(), p=st.sampled_from((2, 3, 4, 5)), data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -161,8 +173,13 @@ class TestWritersAgainstPolyReference:
         nf = flow_polynomial_normal_form(g, p)
         shuffled = tuple(data.draw(st.permutations(nf.arcs)))
         for q in (nf, conformal_normal_form(g, p), QuotientPoly(p, shuffled, nf.poly)):
-            assert quotient_poly_to_text(q) == oracles.quotient_poly_to_text(q)
-            assert quotient_poly_to_json(q) == oracles.quotient_poly_to_json(q)
+            self.check(
+                q,
+                quotient_poly_to_text,
+                quotient_poly_to_json,
+                oracles.quotient_poly_to_text,
+                oracles.quotient_poly_to_json,
+            )
 
     @given(g=small_multigraphs(), data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -171,8 +188,99 @@ class TestWritersAgainstPolyReference:
         nf = four_flow_polynomial_normal_form(u)
         shuffled = tuple(data.draw(st.permutations(nf.edges)))
         for q in (nf, conformal_pair_normal_form(u), PairQuotientPoly(shuffled, nf.poly)):
-            assert pair_poly_to_text(q) == oracles.pair_poly_to_text(q)
-            assert pair_poly_to_json(q) == oracles.pair_poly_to_json(q)
+            self.check(
+                q,
+                pair_poly_to_text,
+                pair_poly_to_json,
+                oracles.pair_poly_to_text,
+                oracles.pair_poly_to_json,
+            )
+
+    def test_form_nested_in_a_payload(self):
+        # the fragments of a Klein pair are indented for the depth they print at
+        from families import triangle
+
+        nf = four_flow_polynomial_normal_form(triangle())
+        payload = {"a": [{"nf": pair_poly_to_json(nf)}], "b": None}
+        reference = {"a": [{"nf": oracles.pair_poly_to_json(nf)}], "b": None}
+        assert dump_json(payload) == oracles.dump_json(reference)
+
+    @given(g=small_multigraphs(), p=st.sampled_from((2, 3, 4, 5)))
+    @settings(max_examples=100, deadline=None)
+    def test_tables(self, g, p):
+        u = g.underlying()
+        for table in (
+            coefficient_table(g, p),
+            flow_conformal_table(g, p),
+            four_flow_coefficient_table(u),
+        ):
+            rows = table_to_json(table)
+            assert dump_json({"p": p, "entries": rows}) == oracles.dump_json(
+                {"p": p, "entries": oracles.table_entries(table)}
+            )
+            assert table_to_text(table) == oracles.table_to_text(table)
+
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64 - 2, max_value=2**80)
+    | st.integers(max_value=-1)
+    | st.text()
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=25,
+)
+
+
+class TestCanonicalJson:
+    """dump_json prints what the standard encoder prints with sorted keys
+    and a two-space indent, plus a newline."""
+
+    @given(obj=_values)
+    @example(obj=[1, True, 2, False, None])
+    @example(obj={"": {}, "a": [], "b": [[]], "c": {"d": {}}})
+    @example(obj=[-(2**64) - 1, 2**64, 2**100])
+    @example(obj={"\u00e9\n\"\\": "tab\there \u2603 \U0001f600 \x00"})
+    @example(obj=(1, (2, ()), {"k": (True,)}))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_standard_encoder(self, obj):
+        assert dump_json(obj) == oracles.dump_json(obj)
+
+    @given(
+        items=st.lists(_values, max_size=8),
+        cuts=st.lists(st.integers(0, 8), max_size=4),
+        wrap=st.integers(0, 3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_print_as_their_list(self, items, cuts, wrap):
+        # batches may be empty, and the block may sit at any depth
+        bounds = [0, *sorted(min(c, len(items)) for c in cuts), len(items)]
+        render = lambda depth: (
+            [_json_text(v, depth) for v in items[a:b]] for a, b in zip(bounds, bounds[1:])
+        )
+        rows, plain = Rows(render), list(items)
+        for _ in range(wrap):
+            rows, plain = {"x": [rows], "w": 0}, {"x": [plain], "w": 0}
+        assert dump_json(rows) == oracles.dump_json(plain)
+
+    def test_written_in_chunks_to_a_stream(self):
+        import io
+
+        payload = {"b": [1, 2], "a": "x"}
+        out = io.StringIO()
+        assert dump_json(payload, out) is None
+        assert out.getvalue() == dump_json(payload)
+
+    @pytest.mark.parametrize("obj", [{1: 2}, 1.5, {"a": {3}}, b"x"])
+    def test_refuses_what_it_does_not_print(self, obj):
+        with pytest.raises(TypeError):
+            dump_json(obj)
 
 
 class TestJsonMapErrors:

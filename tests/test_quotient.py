@@ -345,6 +345,21 @@ class TestEvaluation:
                 raw, assignment, p
             )
 
+    def test_stops_at_the_first_zero_factor(self, monkeypatch):
+        # at p=3 the point 1, 1, 1 of the worked example leaves surplus -1
+        # at v1, the first vertex: the product is zero before any multiplication
+        d = example_graph()
+        assignment = dict.fromkeys(d.sorted_arc_ids, 1)
+        expected = cyclotomic_eval(flow_polynomial_raw(d, 3), assignment, 3)
+
+        def refuse(self, other):
+            raise AssertionError("multiplied past a zero vertex factor")
+
+        monkeypatch.setattr(CyclotomicInt, "__mul__", refuse)
+        value = flow_poly_eval(d, assignment, 3)
+        monkeypatch.undo()
+        assert value.is_zero and value == expected
+
     def test_dichotomy_small(self):
         # only two values ever appear on the zero set: 0 and p^|V|
         for g in all_connected_multigraphs(4):
