@@ -48,7 +48,6 @@ from .fourflow import (
     has_nz_four_flow,
     is_dual_four_flow,
     is_four_flow,
-    klein_eval,
     reduce_pair_power,
 )
 from .graphs import (

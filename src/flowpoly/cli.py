@@ -29,6 +29,8 @@ from .errors import (
 from .flows import (
     ZpMap,
     _dual_count_methods,
+    _flow_test,
+    _zp,
     count_conformal_dual_flows,
     count_conformal_flows,
     enumerate_dual_flows,
@@ -64,11 +66,10 @@ from .fourflow import (
 )
 from .graphs import cyclomatic_number, kappa
 from .quotient import (
+    _evaluator,
     conformal_normal_form,
     flow_polynomial_normal_form,
-    flow_poly_eval,
     has_nz_flow_membership,
-    surplus_eval,
 )
 from .structure import (
     chordal_orientation,
@@ -278,15 +279,14 @@ def _verify_checks(args):
 
     n_assignments = (p - 1) ** len(g.arcs)
     if n_assignments <= 4096:
-        ids = g.sorted_arc_ids
-        ok = True
+        # the value from the ring against the one the group flow test predicts
+        evaluate = _evaluator(g, p)
+        conserves = _flow_test(g, _zp(p))
         pv = p ** len(g.vertices)
-        for combo in product(range(1, p), repeat=len(ids)):
-            phi = ZpMap.from_tuple(p, ids, combo)
-            value = flow_poly_eval(g, dict(phi.values), p).as_int()
-            if value not in (0, pv) or value != surplus_eval(g, phi):
-                ok = False
-                break
+        ok = all(
+            evaluate(codes).as_int() == (pv if conserves(codes) else 0)
+            for codes in product(range(1, p), repeat=len(g.arcs))
+        )
         yield ("evaluation-dichotomy", ok, f"{n_assignments} points")
     else:
         yield ("evaluation-dichotomy", True, "skipped (too many points)")

@@ -142,15 +142,11 @@ def surplus(g: Digraph, phi: ZpMap) -> dict[str, int]:
     """Flow surplus per vertex: sum over in-arcs minus sum over out-arcs,
     mod p. Loops cancel themselves."""
     phi.check_domain(g)
-    s = {}
-    for v in g.vertices:
-        total = 0
-        for a in g.in_arcs(v):
-            total += phi[a.id]
-        for a in g.out_arcs(v):
-            total -= phi[a.id]
-        s[v] = total % phi.p
-    return s
+    s = dict.fromkeys(g.vertices, 0)
+    for a in g.arcs:
+        s[a.head] += phi[a.id]
+        s[a.tail] -= phi[a.id]
+    return {v: total % phi.p for v, total in s.items()}
 
 
 def is_flow(g: Digraph, phi: ZpMap) -> bool:

@@ -26,6 +26,10 @@ table's base-4 codes, which lack the top code 3.
 The enumerations, tests and conformal table run on the same codes through
 the group-generic code tuples of flows: the table's packed keys hold one
 base-4 digit per edge, and the top code 3 is swept out as in flows.
+
+There is no evaluation layer: the Klein polynomial is decided through its
+normal form, its conformal table and brute force. The raw expansion and its
+evaluation at the +-1 points of the vanishing set are test references.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .flows import (
     _Group,
     _circulations,
     _conformal_sums,
-    _count_conformal,
     _flow_test,
     _potentials,
     _tensions,
@@ -67,14 +70,6 @@ def _klein_group() -> _Group:
 
 
 _KLEIN_GROUP = _klein_group()
-
-# evaluation points of the ideal's vanishing set, keyed by the nonzero
-# Klein element they encode: (a, b) = ((-1)^p1, (-1)^p2)
-EVAL_POINTS = {
-    (0, 1): (1, -1),
-    (1, 0): (-1, 1),
-    (1, 1): (-1, -1),
-}
 
 
 def xvar(edge: str) -> tuple[str, str]:
@@ -238,29 +233,6 @@ def normalize_pair(
     return PairQuotientPoly._of(tuple(edges), 3, _reduce_digits(terms, edges, 3, bound))
 
 
-def _vertex_pair_factor(g: UndirectedGraph, v: str) -> Poly:
-    """(prod x_e + 1)(prod y_e + 1) over edges at v, loops squared."""
-    xexps: dict = {}
-    yexps: dict = {}
-    for e in g.edges_at(v):
-        mult = 2 if e.is_loop else 1
-        xexps[xvar(e.id)] = xexps.get(xvar(e.id), 0) + mult
-        yexps[yvar(e.id)] = yexps.get(yvar(e.id), 0) + mult
-    xm = Poly.monomial(xexps) + Poly.one()
-    ym = Poly.monomial(yexps) + Poly.one()
-    return xm * ym
-
-
-def four_flow_polynomial_raw(
-    g: UndirectedGraph, max_terms: int | None = None
-) -> Poly:
-    bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
-    acc = Poly.one()
-    for v in g.sorted_vertices:
-        acc = acc.mul(_vertex_pair_factor(g, v), max_terms=bound)
-    return acc
-
-
 def four_flow_polynomial_normal_form(
     g: UndirectedGraph, max_terms: int | None = None
 ) -> PairQuotientPoly:
@@ -276,42 +248,6 @@ def _klein_fold(g: UndirectedGraph, max_terms: int | None) -> dict[int, int]:
     bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
     shift = lambda d, k, sign: d ^ k
     return _fold_vertex_factors(g, 4, shift, bound, "Klein")
-
-
-def klein_eval(f: Poly, assignment: dict[str, KleinPair]) -> int:
-    """Evaluate f at (a_e, b_e) points with entries +-1; plain integers."""
-    for e, point in assignment.items():
-        if tuple(point) not in ((1, -1), (-1, 1), (-1, -1)):
-            raise ValueError(f"point {point!r} for {e!r} not in the zero set")
-    values = {}
-    for e, (a, b) in assignment.items():
-        values[xvar(e)] = a
-        values[yvar(e)] = b
-    return f.eval_int(values)
-
-
-def eval_points_of(phi: KleinMap) -> dict[str, KleinPair]:
-    """The vanishing-set point encoding a nowhere-zero Klein map."""
-    if not phi.is_nowhere_zero:
-        raise ValueError("the map has a zero edge")
-    return {e: EVAL_POINTS[tuple(v)] for e, v in phi.values.items()}
-
-
-def four_flow_poly_eval(g: UndirectedGraph, assignment: dict[str, KleinPair]) -> int:
-    """Factored evaluation of the four-flow polynomial: same integer as
-    expanding first, vertex factor by vertex factor."""
-    if set(assignment) != set(g.edge_by_id):
-        raise ValueError("assignment domain does not match the edge set")
-    result = 1
-    for v in g.sorted_vertices:
-        ax = ay = 1
-        for e in g.edges_at(v):
-            a, b = assignment[e.id]
-            mult = 2 if e.is_loop else 1
-            ax *= a**mult
-            ay *= b**mult
-        result *= (ax + 1) * (ay + 1)
-    return result
 
 
 def _klein_sums(g: UndirectedGraph, max_states) -> dict[int, int]:
@@ -335,16 +271,6 @@ def conformal_pair_normal_form(
     ids = g.sorted_edge_ids
     acc = _klein_sums(g, max_states)
     return PairQuotientPoly._of(ids, 3, _repack(acc, 4, len(ids), 4 ** kappa(g)))
-
-
-def count_conformal_dual_four_flows(
-    g: UndirectedGraph, psi: KleinMap, max_states: int | None = None
-) -> tuple[int, int]:
-    """(even, odd) counts of psi-conformal Klein tensions."""
-    codes = _codes(g, psi)
-    if not psi.avoids_max:
-        raise ValueError("psi must avoid (1,1)")
-    return _count_conformal(_tensions(g, _KLEIN_GROUP, max_states), [codes], 3)[0]
 
 
 def has_nz_four_flow(

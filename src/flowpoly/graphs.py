@@ -14,7 +14,9 @@ breadth-first search, `bfs`, that gives the components and a spanning
 forest. Caching them is safe because a graph never changes after it is
 built. Components, kappa and the cyclomatic number read that search, and
 so do the group-generic enumerations and the normal-form fold, which take
-the graph itself whatever its kind.
+the graph itself whatever its kind. The stars are the one incidence
+structure: bridges walks them too, and code that needs each record once
+reads the records themselves.
 """
 
 from __future__ import annotations
@@ -54,13 +56,6 @@ class Edge:
 
     def ends(self) -> tuple[str, str]:
         return (self.u, self.v)
-
-    def other(self, w: str) -> str:
-        if w == self.u:
-            return self.v
-        if w == self.v:
-            return self.u
-        raise ValueError(f"{w!r} is not an endpoint of {self.id!r}")
 
 
 class _Multigraph:
@@ -153,23 +148,6 @@ class Digraph(_Multigraph):
     arc_by_id = property(attrgetter("by_id"))
     sorted_arc_ids = property(attrgetter("sorted_ids"))
 
-    @cached_property
-    def _incidence(self) -> dict[str, tuple[list[Arc], list[Arc]]]:
-        inc: dict[str, tuple[list[Arc], list[Arc]]] = {
-            v: ([], []) for v in self.vertices
-        }
-        for a in self.arcs:
-            inc[a.head][0].append(a)
-            inc[a.tail][1].append(a)
-        return inc
-
-    def in_arcs(self, v: str) -> list[Arc]:
-        """Arcs with head v (a loop at v appears here and in out_arcs)."""
-        return list(self._incidence[v][0])
-
-    def out_arcs(self, v: str) -> list[Arc]:
-        return list(self._incidence[v][1])
-
     def underlying(self) -> "UndirectedGraph":
         return UndirectedGraph(
             self.vertices, tuple(Edge(a.id, a.tail, a.head) for a in self.arcs)
@@ -185,19 +163,6 @@ class UndirectedGraph(_Multigraph):
     records = property(attrgetter("edges"))
     edge_by_id = property(attrgetter("by_id"))
     sorted_edge_ids = property(attrgetter("sorted_ids"))
-
-    @cached_property
-    def _incidence(self) -> dict[str, list[Edge]]:
-        inc: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            inc[e.u].append(e)
-            if not e.is_loop:
-                inc[e.v].append(e)
-        return inc
-
-    def edges_at(self, v: str) -> list[Edge]:
-        """Edges incident to v, loops listed once."""
-        return list(self._incidence[v])
 
     def simple_adjacency(self) -> dict[str, set[str]]:
         """Neighbour sets of the underlying simple graph (no loops)."""
@@ -384,39 +349,36 @@ def find_small_circuit(g: UndirectedGraph) -> Circuit | None:
 
 def bridges(g: UndirectedGraph) -> set[str]:
     """Edge ids of all cut-edges. Loops and parallel edges never qualify."""
+    ends = [g.by_id[r].ends() for r in g.sorted_ids]
     disc: dict[str, int] = {}
     low: dict[str, int] = {}
     out: set[str] = set()
-    counter = 0
-    inc = {v: [e for e in g.edges_at(v) if not e.is_loop] for v in g.vertices}
-    for root in sorted(g.vertices):
+    for root in g.sorted_vertices:
         if root in disc:
             continue
-        # iterative DFS; each frame tracks the edge used to enter
-        stack: list[tuple[str, str | None, int]] = [(root, None, 0)]
-        disc[root] = low[root] = counter
-        counter += 1
+        # iterative DFS over the stars; each frame holds its parent and the
+        # position of the record it entered by, which alone is not walked back
+        stack: list[tuple[str, str | None, int, int]] = [(root, None, -1, 0)]
+        disc[root] = low[root] = len(disc)
         while stack:
-            v, in_edge, idx = stack.pop()
-            if idx < len(inc[v]):
-                stack.append((v, in_edge, idx + 1))
-                e = inc[v][idx]
-                if e.id == in_edge:
+            v, parent, entered, idx = stack.pop()
+            star = g.stars[v]
+            if idx < len(star):
+                stack.append((v, parent, entered, idx + 1))
+                i, s = star[idx]
+                if i == entered:
                     continue
-                w = e.other(v)
+                w = ends[i][s < 0]
                 if w not in disc:
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, e.id, 0))
+                    disc[w] = low[w] = len(disc)
+                    stack.append((w, v, i, 0))
                 else:
                     low[v] = min(low[v], disc[w])
-            elif in_edge is not None:
+            elif parent is not None:
                 # leaving v: fold its low value into the parent
-                e = g.edge_by_id[in_edge]
-                parentv = e.other(v)
-                low[parentv] = min(low[parentv], low[v])
-                if low[v] > disc[parentv]:
-                    out.add(in_edge)
+                low[parent] = min(low[parent], low[v])
+                if low[v] > disc[parent]:
+                    out.add(g.sorted_ids[entered])
     return out
 
 

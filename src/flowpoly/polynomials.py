@@ -192,16 +192,6 @@ class Poly:
             n >>= 1
         return result
 
-    def eval_int(self, assignment: Mapping) -> int:
-        """Evaluate at integer points (used by the four-flow evaluations)."""
-        total = 0
-        for mono, coeff in self.terms.items():
-            v = coeff
-            for var, exp in mono:
-                v *= assignment[var] ** exp
-            total += v
-        return total
-
     def __repr__(self) -> str:
         if self.is_zero:
             return "Poly(0)"

@@ -28,6 +28,15 @@ packs the Poly it is given. `is_zero`, `==` and `text_batches`, which the
 writers of formats print from, read the keys; `.poly` decodes them on each
 use. The conformal route re-encodes its table's base-p keys, which lack the
 top digit, in radix p-1.
+
+Evaluation at the vanishing-set point x_e = rho^k_e goes through one
+evaluator per digraph and p, which reads a code tuple over sorted_arc_ids:
+each vertex's residue adds k at the head of every arc record and subtracts
+it at the tail, and the vertex factors, summed in Z[rho], multiply up to the
+first zero one. It reads the records and not the stars on purpose: verify's
+evaluation check compares its value at every point with p^|V| or 0 as the
+group flow test of flows, which sums the stars, decides, so the two sides
+stay independent computations.
 """
 
 from __future__ import annotations
@@ -199,27 +208,21 @@ def is_in_ideal(f: Poly, p: int, max_terms: int | None = None) -> bool:
     return normalize(f, p, max_terms=max_terms).is_zero
 
 
-def _vertex_factor_base(g: Digraph, v: str, p: int) -> Poly:
-    """The monomial whose geometric sum is the vertex's factor: x_e for
-    each arc entering v times x_e^(p-1) for each arc leaving it, so a loop
-    contributes x_e^p."""
-    exps: dict[str, int] = {}
-    for a in g.in_arcs(v):
-        exps[a.id] = exps.get(a.id, 0) + 1
-    for a in g.out_arcs(v):
-        exps[a.id] = exps.get(a.id, 0) + (p - 1)
-    return Poly.monomial(exps)
-
-
 def flow_polynomial_raw(g: Digraph, p: int, max_terms: int | None = None) -> Poly:
     """The fully expanded flow polynomial. Desk scale only; the normal
-    form below never materializes this."""
+    form below never materializes this. Vertex v's factor is the geometric
+    sum of the monomial with x_e for each arc entering v and x_e^(p-1) for
+    each arc leaving it, so a loop contributes x_e^p."""
     if p < 2:
         raise ValueError("p must be >= 2")
     bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
+    exps: dict[str, dict[str, int]] = {v: {} for v in g.sorted_vertices}
+    for a in g.arcs:
+        exps[a.head][a.id] = exps[a.head].get(a.id, 0) + 1
+        exps[a.tail][a.id] = exps[a.tail].get(a.id, 0) + (p - 1)
     acc = Poly.one()
     for v in g.sorted_vertices:
-        base = _vertex_factor_base(g, v, p)
+        base = Poly.monomial(exps[v])
         factor = Poly.zero()
         power = Poly.one()
         for _ in range(p):
@@ -380,18 +383,34 @@ def flow_poly_eval(g: Digraph, assignment: dict[str, int], p: int) -> Cyclotomic
     for a, k in assignment.items():
         if not 1 <= k <= p - 1:
             raise ValueError(f"power for {a!r} must be in 1..{p - 1}")
-    result = CyclotomicInt.one(p)
-    for v in g.sorted_vertices:
-        exp = 0
-        for a in g.in_arcs(v):
-            exp += assignment[a.id]
-        for a in g.out_arcs(v):
-            exp += (p - 1) * assignment[a.id]
-        factor = _vertex_factor(p, exp % p)
-        if factor.is_zero:
-            return factor
-        result = result * factor
-    return result
+    return _evaluator(g, p)([assignment[i] for i in g.sorted_arc_ids])
+
+
+def _evaluator(g: Digraph, p: int):
+    """evaluate(codes): the flow polynomial at x_e = rho^codes[i] for the
+    arc e at position i of g.sorted_arc_ids, as flow_poly_eval gives it.
+    Each vertex's residue adds the code of every arc record at its head and
+    subtracts it at its tail, so a loop cancels; the vertex factors then
+    multiply in Z[rho] in sorted-vertex order, up to the first zero one."""
+    slot = {v: k for k, v in enumerate(g.sorted_vertices)}
+    ends = [(slot[a.head], slot[a.tail]) for a in map(g.arc_by_id.get, g.sorted_arc_ids)]
+    factors = [_vertex_factor(p, r) for r in range(p)]
+    one = CyclotomicInt.one(p)
+
+    def evaluate(codes) -> CyclotomicInt:
+        residue = [0] * len(slot)
+        for (head, tail), k in zip(ends, codes):
+            residue[head] += k
+            residue[tail] -= k
+        result = one
+        for r in residue:
+            factor = factors[r % p]
+            if factor.is_zero:
+                return factor
+            result = result * factor
+        return result
+
+    return evaluate
 
 
 @lru_cache(maxsize=4096)

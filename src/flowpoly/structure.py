@@ -24,12 +24,11 @@ from .embedding import PlaneDual, RotationSystem, plane_dual
 from .errors import PreconditionError, VerificationError
 from .flows import (
     ZpMap,
+    _flow_tuples,
     _tensions,
     _zp,
     coloring_from_dual_flow,
     count_conformal_flows,
-    enumerate_dual_flows,
-    enumerate_flows,
     flow_conformal_table,
     is_p_colorable,
 )
@@ -172,9 +171,9 @@ def _replay_trace(
 
 def verify_unique_zero_conformal(d: Digraph, max_states: int | None = None) -> bool:
     """True when the zero map is the only dual 4-flow valued in {0, 3}."""
-    for phi in enumerate_dual_flows(d, 4, max_states):
-        values = set(phi.values.values())
-        if values <= {0, 3} and 3 in values:
+    for values in _tensions(d, _zp(4), max_states):
+        codes = set(values)
+        if codes <= {0, 3} and 3 in codes:
             return False
     return True
 
@@ -220,15 +219,10 @@ def check_planar_duality(
 
     nz = has_nz_flow_membership(g, p, max_terms)
 
-    ids = dual.sorted_arc_ids
     table = flow_conformal_table(dual, p, max_states)
-    witness_key = None
-    for key in sorted(table):
-        if table[key] != 0:
-            witness_key = key
-            break
-    if witness_key is not None:
-        psi = ZpMap.from_tuple(p, ids, witness_key)
+    if table:
+        # every entry is nonzero, so the least psi is the first imbalance
+        psi = ZpMap.from_tuple(p, dual.sorted_arc_ids, min(table))
         counts = count_conformal_flows(dual, psi, p, max_states=max_states)
         witness = dict(psi.values)
         counts_dict = {"even": counts.even, "odd": counts.odd}
@@ -242,15 +236,9 @@ def check_planar_duality(
         counts_dict = None
         dual_route = False
 
-    tensions = {
-        tuple(m.values[a] for a in ids)
-        for m in enumerate_dual_flows(g, p, max_states)
-    }
-    dual_flows = {
-        tuple(m.values[a] for a in ids)
-        for m in enumerate_flows(dual, p, max_states)
-    }
-    bijection_ok = tensions == dual_flows
+    # the dual keeps the primal arc ids, so both sets are over the same sorted ids
+    tensions = set(_tensions(g, _zp(p), max_states))
+    bijection_ok = tensions == set(_flow_tuples(dual, p, max_states))
 
     return PlanarReport(
         p=p,

@@ -8,13 +8,23 @@ packed keys through its own writer. parity4 and is_conformal4 test Klein maps on
 the package counts conformal tensions on code tuples. dfs_components finds
 components by depth-first search; the package reads them off one cached
 breadth-first search.
+
+The Klein polynomial is expanded vertex factor by vertex factor
+(four_flow_polynomial_raw), the reference for the packed fold, and
+klein_eval evaluates it at the +-1 points of the vanishing set term by
+term; the package has no Klein evaluation. count_conformal_dual_four_flows
+counts the conformal tensions of one psi, the reference for the Klein
+coefficient table.
 """
 
 from __future__ import annotations
 
 import json
 
-from flowpoly.fourflow import KleinMap, xvar, yvar
+from flowpoly.errors import DEFAULT_TERM_BOUND
+from flowpoly.flows import _count_conformal, _tensions
+from flowpoly.fourflow import KLEIN, _KLEIN_GROUP, KleinMap, xvar, yvar
+from flowpoly.polynomials import Poly
 
 
 def sorted_terms(poly, variables, reverse=False):
@@ -147,3 +157,65 @@ def dfs_components(g) -> list[tuple[str, ...]]:
         seen |= comp
         parts.append(tuple(sorted(comp)))
     return parts
+
+
+# evaluation points of the ideal's vanishing set, keyed by the nonzero
+# Klein element they encode: (a, b) = ((-1)^p1, (-1)^p2)
+EVAL_POINTS = {
+    (0, 1): (1, -1),
+    (1, 0): (-1, 1),
+    (1, 1): (-1, -1),
+}
+
+
+def _vertex_pair_factor(g, v: str) -> Poly:
+    """(prod x_e + 1)(prod y_e + 1) over the edges at v, loops squared."""
+    xexps: dict = {}
+    yexps: dict = {}
+    for e in g.edges:
+        for w in e.ends():
+            if w == v:
+                xexps[xvar(e.id)] = xexps.get(xvar(e.id), 0) + 1
+                yexps[yvar(e.id)] = yexps.get(yvar(e.id), 0) + 1
+    return (Poly.monomial(xexps) + Poly.one()) * (Poly.monomial(yexps) + Poly.one())
+
+
+def four_flow_polynomial_raw(g, max_terms: int | None = None) -> Poly:
+    bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
+    acc = Poly.one()
+    for v in g.sorted_vertices:
+        acc = acc.mul(_vertex_pair_factor(g, v), max_terms=bound)
+    return acc
+
+
+def klein_eval(f: Poly, assignment: dict) -> int:
+    """f at (a_e, b_e) points with entries +-1, one monomial at a time."""
+    for e, point in assignment.items():
+        if tuple(point) not in EVAL_POINTS.values():
+            raise ValueError(f"point {point!r} for {e!r} not in the zero set")
+    values = {}
+    for e, (a, b) in assignment.items():
+        values[xvar(e)] = a
+        values[yvar(e)] = b
+    total = 0
+    for mono, coeff in f.items():
+        for var, exp in mono:
+            coeff *= values[var] ** exp
+        total += coeff
+    return total
+
+
+def eval_points_of(phi: KleinMap) -> dict:
+    """The vanishing-set point encoding a nowhere-zero Klein map."""
+    if not phi.is_nowhere_zero:
+        raise ValueError("the map has a zero edge")
+    return {e: EVAL_POINTS[tuple(v)] for e, v in phi.values.items()}
+
+
+def count_conformal_dual_four_flows(g, psi: KleinMap, max_states=None) -> tuple[int, int]:
+    """(even, odd) counts of psi-conformal Klein tensions."""
+    if not psi.avoids_max:
+        raise ValueError("psi must avoid (1,1)")
+    psi.check_domain(g)
+    codes = [KLEIN.index(psi[e]) for e in g.sorted_edge_ids]
+    return _count_conformal(_tensions(g, _KLEIN_GROUP, max_states), [codes], 3)[0]

@@ -9,6 +9,7 @@ import pytest
 import oracles
 from flowpoly import cli
 from flowpoly.cli import main
+from flowpoly.cyclotomic import CyclotomicInt
 from flowpoly.flows import (
     coefficient_table,
     count_conformal_flows,
@@ -225,6 +226,28 @@ class TestVerify:
         for name in small_enough_for_p4:
             code, out, _ = run(capsys, "verify", "-p", 4, corpus_dir / name)
             assert code == 0, (name, out)
+
+    def assert_only_the_dichotomy_fails(self, capsys, corpus_dir):
+        code, out, _ = run(capsys, "verify", "-p", 3, corpus_dir / "example.g")
+        assert code == 1
+        failed = [line for line in out.splitlines() if not line.startswith("ok ")]
+        assert failed == ["FAIL evaluation-dichotomy: 8 points", "1 check(s) failed"]
+
+    def test_wrong_residue_zero_factor_fails_the_dichotomy(
+        self, capsys, monkeypatch, corpus_dir
+    ):
+        # p + 1 instead of p at every conserving vertex: wrong only at flows
+        def make(fn):
+            return lambda p, r: fn(p, r) + CyclotomicInt.one(p) if r == 0 else fn(p, r)
+
+        patch_everywhere(monkeypatch, "_vertex_factor", make)
+        self.assert_only_the_dichotomy_fails(capsys, corpus_dir)
+
+    def test_expected_values_come_from_the_flow_test(self, capsys, monkeypatch, corpus_dir):
+        # a check that read its expected value off the evaluator's own
+        # residues would still pass here
+        monkeypatch.setattr(cli, "_flow_test", lambda g, group: lambda codes: False)
+        self.assert_only_the_dichotomy_fails(capsys, corpus_dir)
 
 
 class TestErrors:

@@ -17,7 +17,14 @@ from families import (
     triangle,
 )
 from hypothesis import given, settings
-from oracles import is_conformal4, parity4
+from oracles import (
+    count_conformal_dual_four_flows,
+    eval_points_of,
+    four_flow_polynomial_raw,
+    is_conformal4,
+    klein_eval,
+    parity4,
+)
 
 from flowpoly.errors import BoundExceeded
 from flowpoly.fourflow import (
@@ -26,18 +33,13 @@ from flowpoly.fourflow import (
     KleinMap,
     PairQuotientPoly,
     conformal_pair_normal_form,
-    count_conformal_dual_four_flows,
     enumerate_dual_four_flows,
     enumerate_klein_circulations,
-    eval_points_of,
     four_flow_coefficient_table,
-    four_flow_poly_eval,
     four_flow_polynomial_normal_form,
-    four_flow_polynomial_raw,
     has_nz_four_flow,
     is_dual_four_flow,
     is_four_flow,
-    klein_eval,
     normalize_pair,
     reduce_pair_power,
     xvar,
@@ -268,22 +270,16 @@ class TestKleinEval:
         g = UndirectedGraph(frozenset({"v"}), ())
         assert klein_eval(four_flow_polynomial_raw(g), {}) == 4
 
-    def test_factored_matches_raw(self):
-        for g in all_connected_multigraphs(3):
-            raw = four_flow_polynomial_raw(g)
-            ids = g.sorted_edge_ids
-            for combo in product(((1, -1), (-1, 1), (-1, -1)), repeat=len(ids)):
-                assignment = dict(zip(ids, combo))
-                assert four_flow_poly_eval(g, assignment) == klein_eval(
-                    raw, assignment
-                )
-
     def test_dichotomy(self):
+        # 4^|V| at the point of every nowhere-zero flow, 0 at every other point
         for g in all_connected_multigraphs(4):
+            raw = four_flow_polynomial_raw(g)
             top = 4 ** len(g.vertices)
             ids = g.sorted_edge_ids
-            for combo in product(((1, -1), (-1, 1), (-1, -1)), repeat=len(ids)):
-                assert four_flow_poly_eval(g, dict(zip(ids, combo))) in (0, top)
+            for combo in product(KLEIN[1:], repeat=len(ids)):
+                phi = KleinMap(dict(zip(ids, combo)))
+                expected = top if is_four_flow(g, phi) else 0
+                assert klein_eval(raw, eval_points_of(phi)) == expected
 
 
 class TestCoefficientTable:

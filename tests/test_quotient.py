@@ -18,11 +18,12 @@ from families import (
 )
 from flowpoly.cyclotomic import CyclotomicInt, cyclotomic_eval, cyclotomic_polynomial
 from flowpoly.errors import BoundExceeded
-from flowpoly.flows import ZpMap
+from flowpoly.flows import ZpMap, _flow_tuples, is_flow, surplus
 from flowpoly.graphs import Digraph, orient
 from flowpoly.polynomials import Poly
 from flowpoly.quotient import (
     QuotientPoly,
+    _evaluator,
     conformal_normal_form,
     flow_poly_eval,
     flow_polynomial_normal_form,
@@ -44,10 +45,6 @@ class TestPolyCore:
         assert (x + 1) ** 3 == x**3 + 3 * x**2 + 3 * x + 1
         assert x - x == Poly.zero()
         assert Poly.constant(0).is_zero
-
-    def test_eval_int(self):
-        f = 2 * X("x") * X("y") + 3
-        assert f.eval_int({"x": 2, "y": 5}) == 23
 
 
 class TestCyclotomic:
@@ -359,6 +356,22 @@ class TestEvaluation:
         value = flow_poly_eval(d, assignment, 3)
         monkeypatch.undo()
         assert value.is_zero and value == expected
+
+    @given(g=small_multigraphs(), p=st.sampled_from((2, 3, 4, 5)))
+    @settings(max_examples=80, deadline=None)
+    def test_surplus_and_evaluator_find_the_flows(self, g, p):
+        # loops, parallel arcs and isolated vertices included
+        ids = g.sorted_arc_ids
+        for values in product(range(p), repeat=len(ids)):
+            phi = ZpMap.from_tuple(p, ids, values)
+            s = surplus(g, phi)
+            assert set(s) == set(g.vertices)
+            assert (not any(s.values())) == is_flow(g, phi)
+        evaluate = _evaluator(g, p)
+        top = CyclotomicInt.from_int(p, p ** len(g.vertices))
+        points = product(range(1, p), repeat=len(ids))
+        flows = sum(1 for codes in points if evaluate(codes) == top)
+        assert flows == sum(1 for codes in _flow_tuples(g, p, None) if all(codes))
 
     def test_dichotomy_small(self):
         # only two values ever appear on the zero set: 0 and p^|V|
