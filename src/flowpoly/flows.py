@@ -18,7 +18,10 @@ forest from the least vertex of each component) and its stars (each
 non-loop record at a vertex with its sign there); see graphs. Potentials
 grow along the forest, circulations solve the forest records from the
 leaves up, and the flow test sums each star, so none of them rebuilds
-incidence data.
+incidence data. Tensions run as an odometer over the potentials of the
+free vertices: one list of values is kept, and a step recomputes only the
+records at the vertices whose potential changed, the last vertex, which
+changes at every step, in a loop of its own.
 
 The conformal table c(psi) is aggregated on packed keys. A map is the
 base-q integer with the code of the arc at position i of n at weight
@@ -29,9 +32,22 @@ key whose digit there is q-1 moves, negated, to the q-1 keys with digits
 0..q-2 there, and the dict is rebuilt without zero entries after each arc.
 What is left is c(psi) at the key of psi. The work bound still counts
 (q-1)^|hot| per map, the size of its box of conformal psi, and is checked
-while counting, before any sweep. A ConformalTable holds those keys: its
-length, its values and the rows the writers of formats print are read off
-them packed, and a lookup by value tuple decodes them once.
+while counting, before any sweep.
+
+The sweep steps commute, so the arcs may be taken in any order, and the
+keys keep their weights whatever the order. The order sets the cost: once
+the arcs of a set S are swept, a tension table holds at most
+q^r(E-S) * (q-1)^|S| keys, r(E-S) being the rank of the records not yet
+swept. Sweeping a bridge of those records lowers the rank by one, any
+other arc leaves it as it is, so _sweep_order takes every bridge of the
+unswept records first (the frontier idea of Sekine, Imai and Tani, ISAAC
+1995, applied to elimination). On a graph with a bridge the first step
+already cancels every entry. flow_conformal_table sweeps its flows in the
+order of positions.
+
+A ConformalTable holds the keys of a table: its length, its values and the
+rows the writers of formats print are read off them packed, and a lookup
+by value tuple decodes them once.
 
 Packed keys of both tables and normal forms convert a few digits at a time:
 _chunk_tables splits the digit positions into runs and tabulates a value
@@ -57,6 +73,7 @@ from .graphs import (
     Circuit,
     Digraph,
     UndirectedGraph,
+    bridges,
     circuits,
     cyclomatic_number,
     kappa,
@@ -233,17 +250,48 @@ def _potentials(g, group: _Group):
 def _tensions(g, group: _Group, max_states, ids=None):
     """Tension code tuples over `ids`, by default g.sorted_ids: the
     potential at each record's second end minus the one at its first. The
-    potentials of the sorted non-root vertices run lexicographically; roots
-    are at 0."""
+    potentials of the sorted non-root vertices run lexicographically, as an
+    odometer whose last slot turns fastest; roots are at 0."""
     free = sorted(v for comp in g.bfs[0] for v in comp[1:])
     _check_states(group.q ** len(free), max_states)
     slot = {v: i for i, v in enumerate(free)}
     ends = [g.by_id[r].ends() for r in (g.sorted_ids if ids is None else ids)]
     pairs = [(slot.get(h, -1), slot.get(t, -1)) for t, h in ends]
-    diff = group.diff
-    # a[-1] = 0 is the label of every root's potential
-    for a in product(*[group.label] * len(free), (0,)):
-        yield tuple([diff[a[h] - a[t]] for h, t in pairs])
+    label, diff = group.label, group.diff
+    # the potential labels of the free vertices, then a[-1] = 0 for every
+    # root; all at label 0, every record carries code 0
+    a = [0] * (len(free) + 1)
+    values = [0] * len(pairs)
+    if not free:
+        yield tuple(values)
+        return
+    # per slot, the non-loop records with an end at it
+    touch = [[(i, h, t) for i, (h, t) in enumerate(pairs) if h != t and k in (h, t)]
+             for k in range(len(free))]
+    last = len(free) - 1
+    inner = touch[last]
+    digit = [0] * last
+    top = group.q - 1
+    while True:
+        for x in label:
+            a[last] = x
+            for i, h, t in inner:
+                values[i] = diff[a[h] - a[t]]
+            yield tuple(values)
+        # carry: reset the slots at the top code, then step the next one
+        k = last - 1
+        while k >= 0 and digit[k] == top:
+            digit[k] = a[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        digit[k] += 1
+        a[k] = label[digit[k]]
+        # the stepped slot and the reset ones; the innermost slot is
+        # refreshed by its own loop
+        for j in range(k, last):
+            for i, h, t in touch[j]:
+                values[i] = diff[a[h] - a[t]]
 
 
 def _circulations(g, group: _Group, max_states):
@@ -458,9 +506,29 @@ def _text_batches(packed: dict[int, int], r: int, frags, descending=False, rekey
         yield coeffs, _convert(_convert(batch, rekey) if rekey else batch, tables)
 
 
-def _conformal_sums(tuples, q: int, n: int, max_work: int | None) -> dict[int, int]:
+def _sweep_order(g):
+    """The positions of g.sorted_ids in the order the sweep of
+    _conformal_sums takes them: every bridge of the records not yet swept,
+    by ascending position, then the first record left, and again. Removing
+    a bridge leaves the other bridges as they were, so each search for
+    bridges is followed by one non-bridge, at most cyclomatic number + 1
+    searches in all. A generator: nothing is searched until the sweep
+    asks for its first position."""
+    ids = g.sorted_ids
+    left = list(range(len(ids)))
+    while left:
+        cut = bridges(type(g)(g.vertices, tuple(g.by_id[ids[i]] for i in left)))
+        yield from (i for i in left if ids[i] in cut)
+        left = [i for i in left if ids[i] not in cut]
+        if left:
+            yield left.pop(0)
+
+
+def _conformal_sums(tuples, q: int, n: int, max_work: int | None, order) -> dict[int, int]:
     """The packed table c(psi) of the code tuples of length n: each map
-    adds (-1)^|hot| at every psi agreeing with it off its top codes."""
+    adds (-1)^|hot| at every psi agreeing with it off its top codes. The
+    top code is swept out at the positions 0..n-1 in the order of `order`,
+    which is first read once every map is counted."""
     bound = DEFAULT_TERM_BOUND if max_work is None else max_work
     top = q - 1
     weights = _weights(n, q)
@@ -473,7 +541,8 @@ def _conformal_sums(tuples, q: int, n: int, max_work: int | None) -> dict[int, i
             raise BoundExceeded(f"conformal aggregation exceeds {bound} steps")
         key = sum(map(mul, values, weights))
         acc[key] = acc.get(key, 0) + 1
-    for w in weights:
+    for i in order:
+        w = weights[i]
         hot = [(key - top * w, c) for key, c in acc.items() if c and key // w % q == top]
         # a fresh dict, rather than deleting in place, leaves no dead slots
         acc = {key: c for key, c in acc.items() if c and key // w % q != top}
@@ -528,7 +597,10 @@ class ConformalTable(Mapping):
 
 
 def _tension_sums(g: Digraph, p: int, max_states) -> dict[int, int]:
-    return _conformal_sums(_tensions(g, _zp(p), max_states), p, len(g.arcs), max_states)
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    tensions = _tensions(g, _zp(p), max_states)
+    return _conformal_sums(tensions, p, len(g.arcs), max_states, _sweep_order(g))
 
 
 def coefficient_table(g: Digraph, p: int, max_states: int | None = None) -> ConformalTable:
@@ -546,7 +618,8 @@ def flow_conformal_table(
 ) -> ConformalTable:
     """Like coefficient_table but aggregated over flows instead of
     tensions; used by the plane-duality report."""
-    acc = _conformal_sums(_flow_tuples(g, p, max_states), p, len(g.arcs), max_states)
+    n = len(g.arcs)
+    acc = _conformal_sums(_flow_tuples(g, p, max_states), p, n, max_states, range(n))
     return ConformalTable(g.sorted_arc_ids, _zp(p).label, acc)
 
 

@@ -44,6 +44,7 @@ from .flows import (
     _conformal_sums,
     _flow_test,
     _potentials,
+    _sweep_order,
     _tensions,
     _weights,
 )
@@ -252,7 +253,7 @@ def _klein_fold(g: UndirectedGraph, max_terms: int | None) -> dict[int, int]:
 
 def _klein_sums(g: UndirectedGraph, max_states) -> dict[int, int]:
     tensions = _tensions(g, _KLEIN_GROUP, max_states)
-    return _conformal_sums(tensions, 4, len(g.edges), max_states)
+    return _conformal_sums(tensions, 4, len(g.edges), max_states, _sweep_order(g))
 
 
 def four_flow_coefficient_table(

@@ -347,8 +347,10 @@ def find_small_circuit(g: UndirectedGraph) -> Circuit | None:
     return Circuit(tuple(steps)).canonical()
 
 
-def bridges(g: UndirectedGraph) -> set[str]:
-    """Edge ids of all cut-edges. Loops and parallel edges never qualify."""
+def bridges(g: Graph) -> set[str]:
+    """Ids of the records whose removal disconnects their component, for
+    either graph kind: orientation plays no part. Loops and parallel
+    records never qualify."""
     ends = [g.by_id[r].ends() for r in g.sorted_ids]
     disc: dict[str, int] = {}
     low: dict[str, int] = {}

@@ -15,14 +15,19 @@ klein_eval evaluates it at the +-1 points of the vanishing set term by
 term; the package has no Klein evaluation. count_conformal_dual_four_flows
 counts the conformal tensions of one psi, the reference for the Klein
 coefficient table.
+
+product_tensions builds every tension afresh from a product over the
+potentials; the package steps an odometer and recomputes only the records
+whose potentials changed.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import product
 
 from flowpoly.errors import DEFAULT_TERM_BOUND
-from flowpoly.flows import _count_conformal, _tensions
+from flowpoly.flows import _check_states, _count_conformal, _tensions
 from flowpoly.fourflow import KLEIN, _KLEIN_GROUP, KleinMap, xvar, yvar
 from flowpoly.polynomials import Poly
 
@@ -219,3 +224,17 @@ def count_conformal_dual_four_flows(g, psi: KleinMap, max_states=None) -> tuple[
     psi.check_domain(g)
     codes = [KLEIN.index(psi[e]) for e in g.sorted_edge_ids]
     return _count_conformal(_tensions(g, _KLEIN_GROUP, max_states), [codes], 3)[0]
+
+
+def product_tensions(g, group, max_states, ids=None):
+    """The tension code tuples of flows._tensions, in the same order, each
+    computed from scratch over the product of the free potentials."""
+    free = sorted(v for comp in g.bfs[0] for v in comp[1:])
+    _check_states(group.q ** len(free), max_states)
+    slot = {v: i for i, v in enumerate(free)}
+    ends = [g.by_id[r].ends() for r in (g.sorted_ids if ids is None else ids)]
+    pairs = [(slot.get(h, -1), slot.get(t, -1)) for t, h in ends]
+    diff = group.diff
+    # a[-1] = 0 is the label of every root's potential
+    for a in product(*[group.label] * len(free), (0,)):
+        yield tuple([diff[a[h] - a[t]] for h, t in pairs])

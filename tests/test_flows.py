@@ -10,16 +10,24 @@ from families import (
     complete,
     default_orientation,
     directed_cycle,
+    disjoint_union,
     example_graph,
     path,
     petersen,
+    single_loop,
     small_multigraphs,
     triangle,
 )
+from oracles import product_tensions
+from flowpoly import flows
 from flowpoly.errors import BoundExceeded
 from flowpoly.flows import (
     ConformalCount,
     ZpMap,
+    _conformal_sums,
+    _sweep_order,
+    _tensions,
+    _zp,
     coefficient_table,
     coloring_from_dual_flow,
     count_conformal_dual_flows,
@@ -34,9 +42,12 @@ from flowpoly.flows import (
     parity,
     surplus,
 )
+from flowpoly.quotient import conformal_normal_form
+from flowpoly.fourflow import _KLEIN_GROUP
 from flowpoly.graphs import (
     Digraph,
     UndirectedGraph,
+    bridges,
     circuits,
     cyclomatic_number,
     orient,
@@ -182,6 +193,101 @@ class TestEnumerateDualFlows:
                     t.as_tuple(ids) for t in enumerate_dual_flows(d, p)
                 }
                 assert enumerated == direct
+
+
+GROUPS = [(_zp(p), f"Z_{p}") for p in (2, 3, 4, 5)] + [(_KLEIN_GROUP, "Klein")]
+
+ODOMETER_GRAPHS = {
+    "example": example_graph(),
+    "k4": default_orientation(complete(4)),
+    "path": default_orientation(path(3)),
+    "no free vertex": Digraph(frozenset({"v"}), ()),
+    "loops only": Digraph.build([("l1", "v", "v"), ("l2", "v", "v")]),
+    "loops at free vertices": Digraph.build(
+        [("a", "u", "v"), ("l1", "v", "v"), ("b", "v", "w"), ("l2", "w", "w")]
+    ),
+    "isolated vertices": Digraph.build([("a", "u", "v")], vertices=["s", "t", "z"]),
+    "components": default_orientation(disjoint_union(triangle(), single_loop(), path(2))),
+}
+
+
+class TestTensionOdometer:
+    """The odometer yields the product reference's tuples in its order."""
+
+    @pytest.mark.parametrize("name", sorted(ODOMETER_GRAPHS))
+    @pytest.mark.parametrize("group,gname", GROUPS, ids=[n for _, n in GROUPS])
+    def test_matches_product_reference(self, name, group, gname):
+        d = ODOMETER_GRAPHS[name]
+        for g in (d, d.underlying()):
+            stored = [r.id for r in g.records]
+            for ids in (None, stored):
+                got = list(_tensions(g, group, None, ids))
+                assert got == list(product_tensions(g, group, None, ids)), (name, ids)
+
+    @given(g=small_multigraphs(max_vertices=5, max_edges=6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_product_reference_on_multigraphs(self, g):
+        for group, _ in GROUPS:
+            stored = [a.id for a in g.arcs]
+            for ids in (None, stored):
+                assert list(_tensions(g, group, None, ids)) == list(
+                    product_tensions(g, group, None, ids)
+                )
+
+    def test_enumerate_dual_flows_keeps_the_stored_order(self):
+        d = default_orientation(complete(4))
+        stored = [a.id for a in d.arcs]
+        maps = enumerate_dual_flows(d, 3)
+        expect = product_tensions(d, _zp(3), None, stored)
+        assert [m.as_tuple(stored) for m in maps] == list(expect)
+
+    def test_state_bound_fires_on_the_first_step(self):
+        with pytest.raises(BoundExceeded, match="^27 states exceed the bound 26$"):
+            next(_tensions(default_orientation(complete(4)), _zp(3), 26))
+
+
+class TestSweepOrder:
+    @given(d=small_multigraphs(max_vertices=5, max_edges=6), p=st.integers(2, 4), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_order_gives_the_same_table(self, d, p, data):
+        for g, group in ((d, _zp(p)), (d.underlying(), _zp(p)), (d.underlying(), _KLEIN_GROUP)):
+            n = len(g.records)
+            order = list(_sweep_order(g))
+            assert sorted(order) == list(range(n))
+            shuffled = data.draw(st.permutations(range(n)))
+            tables = [
+                _conformal_sums(_tensions(g, group, None), group.q, n, None, o)
+                for o in (order, range(n), shuffled)
+            ]
+            assert tables[0] == tables[1] == tables[2]
+            cut = bridges(g)
+            if cut:
+                assert g.sorted_ids[order[0]] in cut
+
+    def test_bridges_first_then_the_first_record_left(self):
+        # a triangle a, b, c with a pendant arc d: d is the only bridge;
+        # once a is swept, b and c are bridges
+        d = Digraph.build([("a", "u", "v"), ("b", "v", "w"), ("c", "w", "u"), ("d", "w", "x")])
+        assert list(_sweep_order(d)) == [3, 0, 1, 2]
+
+    def test_bound_fires_before_the_order_is_computed(self, monkeypatch):
+        def no_search(g):
+            raise AssertionError("the sweep order was computed")
+
+        monkeypatch.setattr(flows, "bridges", no_search)
+        d = default_orientation(complete(4))
+        with pytest.raises(BoundExceeded, match="^conformal aggregation exceeds 30 steps$"):
+            coefficient_table(d, 3, max_states=30)
+
+
+class TestConformalRouteRejectsSmallModuli:
+    @pytest.mark.parametrize("p", [0, 1])
+    @pytest.mark.parametrize(
+        "route", [has_nz_flow_conformal, coefficient_table, conformal_normal_form]
+    )
+    def test_p_below_two(self, route, p):
+        with pytest.raises(ValueError, match="^p must be >= 2$"):
+            route(example_graph(), p)
 
 
 class TestParity:

@@ -251,6 +251,13 @@ class TestBridges:
                     expect.add(e.id)
             assert bridges(g) == expect, g
 
+    @given(d=small_multigraphs())
+    @settings(max_examples=100, deadline=None)
+    def test_either_graph_kind(self, d):
+        # orientation plays no part: a digraph has the bridges of its
+        # underlying graph
+        assert bridges(d) == bridges(d.underlying())
+
 
 def _chordal_oracle(g: UndirectedGraph) -> bool:
     """No chordless induced cycle of length >= 4 in the simple graph."""
