@@ -304,7 +304,7 @@ def _verify_checks(args):
         f"colorable={report.colorable} dually_flowing={report.dually_flowing}",
     )
 
-    if parsed.rotation is not None and parsed.kind == "digraph":
+    if parsed.rotation is not None:
         planar = check_planar_duality(
             g, parsed.rotation, p, max_states=bound, max_terms=bound
         )

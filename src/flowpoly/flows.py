@@ -6,10 +6,13 @@ potentials on each component. Parity of a map counts the arcs carrying the
 maximal label p-1. All enumerations are deterministic: free slots are
 ordered by ascending id and assignments run lexicographically.
 
-Internally a map is a tuple of codes 0..q-1 over a finite abelian group
-(Z_p here, the Klein group in fourflow), and ZpMap / KleinMap objects are
-built only at the public API. One set of generators and tests serves both
-groups.
+Internally a map is a tuple of codes 0..q-1 over a finite abelian group,
+a _Group, and ZpMap / KleinMap objects are built only at the public API.
+The group carries its law (a label per code and a table of differences),
+the public value of each code and its name for bound messages, so it is
+the only parameter: one set of generators, tests, tension tables and
+witness searches serves Z_p and the Klein group of fourflow. Every Z_p
+route builds its group through _zp(p), which rejects p < 2.
 
 The generic helpers take the graph itself, a Digraph or an
 UndirectedGraph, and read a code tuple over its sorted record ids. They
@@ -69,15 +72,7 @@ from .errors import (
     DEFAULT_TERM_BOUND,
     PreconditionError,
 )
-from .graphs import (
-    Circuit,
-    Digraph,
-    UndirectedGraph,
-    bridges,
-    circuits,
-    cyclomatic_number,
-    kappa,
-)
+from .graphs import Digraph, UndirectedGraph, bridges, cyclomatic_number, kappa
 
 
 @dataclass(frozen=True)
@@ -135,10 +130,14 @@ class _Group:
 
     Code x carries the integer label[x], and the code of x - y is
     diff[label[x] - label[y]], where negative indices count from the end.
+    Code x stands for the public value values[x], and bound messages name
+    the group by `name`.
     """
 
     label: tuple[int, ...]
     diff: tuple[int, ...]
+    values: tuple
+    name: str
 
     @property
     def q(self) -> int:
@@ -150,9 +149,12 @@ class _Group:
 
 
 def _zp(p: int) -> _Group:
-    # labels are the codes, and codes[x - y] is (x - y) mod p
+    """Z_p, the group of every Z_p route, which rejects p < 2 here. Labels
+    and values are the codes, and codes[x - y] is (x - y) mod p."""
+    if p < 2:
+        raise ValueError("p must be >= 2")
     codes = tuple(range(p))
-    return _Group(codes, codes)
+    return _Group(codes, codes, codes, f"Z_{p}")
 
 
 def surplus(g: Digraph, phi: ZpMap) -> dict[str, int]:
@@ -171,28 +173,10 @@ def is_flow(g: Digraph, phi: ZpMap) -> bool:
     return _flow_test(g, _zp(phi.p))(phi.as_tuple(g.sorted_arc_ids))
 
 
-def is_dual_flow(g: Digraph, phi: ZpMap, debug: bool = False) -> bool:
-    """Tension test via potential propagation.
-
-    With debug=True and at most 12 arcs, the circuit-sum definition is also
-    evaluated and must agree.
-    """
+def is_dual_flow(g: Digraph, phi: ZpMap) -> bool:
+    """Tension test via potential propagation."""
     phi.check_domain(g)
-    p = phi.p
-    ok = _potentials(g, _zp(p))[1](phi.as_tuple(g.sorted_arc_ids)) is not None
-    if debug and len(g.arcs) <= 12:
-        by_circuits = all(
-            _circuit_sum(phi, c) % p == 0 for c in circuits(g)
-        )
-        if by_circuits != ok:
-            raise AssertionError(
-                "potential and circuit tension tests disagree; this is a bug"
-            )
-    return ok
-
-
-def _circuit_sum(phi: ZpMap, circ: Circuit) -> int:
-    return sum(phi[eid] if fwd else -phi[eid] for eid, fwd in circ.steps)
+    return _potentials(g, _zp(phi.p))[1](phi.as_tuple(g.sorted_arc_ids)) is not None
 
 
 def _check_states(count: int, max_states: int | None) -> None:
@@ -322,26 +306,21 @@ def _circulations(g, group: _Group, max_states):
         yield tuple(values)
 
 
-def _flow_tuples(g: Digraph, p: int, max_states):
-    """Flow value tuples over g.sorted_arc_ids, in the order of
-    enumerate_flows."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    return _circulations(g, _zp(p), max_states)
+def _nz_flow(g, group: _Group, max_states) -> tuple[int, ...] | None:
+    """The first nowhere-zero flow code tuple of _circulations, or None."""
+    return next((values for values in _circulations(g, group, max_states) if all(values)), None)
 
 
 def enumerate_flows(g: Digraph, p: int, max_states: int | None = None) -> list[ZpMap]:
     """All p^(|E|-|V|+kappa) flows: free values on non-forest arcs, forest
     arcs solved bottom-up. Deterministic lexicographic order."""
     ids = g.sorted_arc_ids
-    return [ZpMap.from_tuple(p, ids, v) for v in _flow_tuples(g, p, max_states)]
+    return [ZpMap.from_tuple(p, ids, v) for v in _circulations(g, _zp(p), max_states)]
 
 
 def enumerate_dual_flows(g: Digraph, p: int, max_states: int | None = None) -> list[ZpMap]:
     """All p^(|V|-kappa) tensions, via potentials with component roots
     pinned to zero. Deterministic lexicographic order over free vertices."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
     ids = [a.id for a in g.arcs]
     return [ZpMap.from_tuple(p, ids, v) for v in _tensions(g, _zp(p), max_states, ids)]
 
@@ -438,7 +417,7 @@ def count_conformal_flows(
         test = _flow_test(g, _zp(p))
         return ConformalCount(*_count_by_subsets(psi.as_tuple(ids), p - 1, test, max_states))
     if method == "flow":
-        flows = _flow_tuples(g, p, max_states)
+        flows = _circulations(g, _zp(p), max_states)
         return ConformalCount(*_count_conformal(flows, [psi.as_tuple(ids)], p - 1)[0])
     raise ValueError(f"unknown method {method!r}")
 
@@ -596,11 +575,10 @@ class ConformalTable(Mapping):
         return f"ConformalTable({self._table()!r})"
 
 
-def _tension_sums(g: Digraph, p: int, max_states) -> dict[int, int]:
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    tensions = _tensions(g, _zp(p), max_states)
-    return _conformal_sums(tensions, p, len(g.arcs), max_states, _sweep_order(g))
+def _tension_sums(g, group: _Group, max_states) -> dict[int, int]:
+    """The packed conformal table of the tensions of g over the group."""
+    tensions = _tensions(g, group, max_states)
+    return _conformal_sums(tensions, group.q, len(g.sorted_ids), max_states, _sweep_order(g))
 
 
 def coefficient_table(g: Digraph, p: int, max_states: int | None = None) -> ConformalTable:
@@ -610,7 +588,8 @@ def coefficient_table(g: Digraph, p: int, max_states: int | None = None) -> Conf
     Every tension contributes its sign to each psi that agrees with it off
     the arcs carrying p-1 (those arcs range freely over 0..p-2).
     """
-    return ConformalTable(g.sorted_arc_ids, _zp(p).label, _tension_sums(g, p, max_states))
+    group = _zp(p)
+    return ConformalTable(g.sorted_arc_ids, group.values, _tension_sums(g, group, max_states))
 
 
 def flow_conformal_table(
@@ -618,18 +597,16 @@ def flow_conformal_table(
 ) -> ConformalTable:
     """Like coefficient_table but aggregated over flows instead of
     tensions; used by the plane-duality report."""
-    n = len(g.arcs)
-    acc = _conformal_sums(_flow_tuples(g, p, max_states), p, n, max_states, range(n))
-    return ConformalTable(g.sorted_arc_ids, _zp(p).label, acc)
+    group, n = _zp(p), len(g.arcs)
+    acc = _conformal_sums(_circulations(g, group, max_states), p, n, max_states, range(n))
+    return ConformalTable(g.sorted_arc_ids, group.values, acc)
 
 
 def find_nz_flow(g: Digraph, p: int, max_states: int | None = None) -> ZpMap | None:
     """Brute-force witness search: the first nowhere-zero flow in the order
     of enumerate_flows."""
-    for values in _flow_tuples(g, p, max_states):
-        if all(values):
-            return ZpMap.from_tuple(p, g.sorted_arc_ids, values)
-    return None
+    values = _nz_flow(g, _zp(p), max_states)
+    return None if values is None else ZpMap.from_tuple(p, g.sorted_arc_ids, values)
 
 
 def has_nz_flow_brute(g: Digraph, p: int, max_states: int | None = None) -> bool:
@@ -640,7 +617,7 @@ def has_nz_flow_conformal(g: Digraph, p: int, max_states: int | None = None) -> 
     """Existence via conformal parity: some psi must have an even/odd
     imbalance among its conformal tensions. Decided on the packed table
     without decoding it."""
-    return bool(_tension_sums(g, p, max_states))
+    return bool(_tension_sums(g, _zp(p), max_states))
 
 
 def coloring_from_dual_flow(g: Digraph, phi: ZpMap) -> dict[str, int]:

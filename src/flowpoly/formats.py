@@ -144,8 +144,15 @@ def parse_zp_map(text: str) -> "ZpMap":
 
     text = text.strip()
     if text.startswith("{"):
-        data = _json_map(text, ("p", "values"), _is_int)
-        if not _is_int(data["p"]):
+        data = json.loads(text)
+        if not isinstance(data, dict) or "p" not in data or "values" not in data:
+            raise GraphFormatError("a JSON map is an object with keys p, values")
+        if not isinstance(data["values"], dict):
+            raise GraphFormatError('the "values" of a JSON map must be an object')
+        for k, v in data["values"].items():
+            if type(v) is not int:
+                raise GraphFormatError(f"bad value {v!r} for {k!r}")
+        if type(data["p"]) is not int:
             raise GraphFormatError(f"bad p {data['p']!r}")
         return ZpMap(data["p"], data["values"])
     parts = [chunk.strip() for chunk in text.split(";") if chunk.strip()]
@@ -171,30 +178,6 @@ def zp_map_to_text(m) -> str:
 
 def zp_map_to_json(m) -> dict:
     return {"p": m.p, "values": {a: m.values[a] for a in sorted(m.values)}}
-
-
-def parse_klein_map(text: str) -> KleinMap:
-    is_pair = lambda v: isinstance(v, list) and all(map(_is_int, v))
-    data = _json_map(text, ("values",), is_pair)
-    return KleinMap({k: tuple(v) for k, v in data["values"].items()})
-
-
-def _is_int(v) -> bool:
-    return type(v) is int
-
-
-def _json_map(text: str, keys: tuple[str, ...], is_value) -> dict:
-    """A JSON map document, checked to be an object with these keys whose
-    "values" object holds only values passing is_value."""
-    data = json.loads(text)
-    if not isinstance(data, dict) or any(k not in data for k in keys):
-        raise GraphFormatError(f"a JSON map is an object with keys {', '.join(keys)}")
-    if not isinstance(data["values"], dict):
-        raise GraphFormatError('the "values" of a JSON map must be an object')
-    for k, v in data["values"].items():
-        if not is_value(v):
-            raise GraphFormatError(f"bad value {v!r} for {k!r}")
-    return data
 
 
 def klein_map_to_json(m: KleinMap) -> dict:

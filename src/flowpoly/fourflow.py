@@ -10,22 +10,21 @@ avoids (1, 1): the pair (1, 1) rewrites to -x - y - 1.
 Loops contribute both end slots to their vertex, hence nothing: they never
 obstruct a flow and force tension value (0, 0).
 
-The normal form folds on the packed keys of quotient, one radix-3 digit
-per edge, the edge at position i of sorted_edge_ids at weight 3^(n-1-i)
-for n edges, holding the code 2a+b of the edge's exponent pair (a, b):
-adding a Klein element is XOR with its code. The first edge is the most
+This module holds the Klein group, _KLEIN_GROUP on the codes 2a+b of
+KLEIN (adding an element is XOR of codes), its map KleinMap and the pair
+normal form PairQuotientPoly. Every route is a one-line call of the
+group-generic one with _KLEIN_GROUP: the fold and the conformal normal form
+of quotient, and the tests, enumerations, tension table and witness search
+of flows.
+
+The pair normal form holds one radix-3 digit per edge, the edge at
+position i of sorted_edge_ids at weight 3^(n-1-i) for n edges, holding the
+code 2a+b of the edge's exponent pair (a, b). The first edge is the most
 significant digit, and code order is the lexicographic order of the pairs,
 so integer key order is the lexicographic exponent order over
 x_e1, y_e1, x_e2, ..., the order the normal forms print in. The top code 3,
 the pair (1,1), never occurs in a key; it expands to minus the sum of the
-basic codes 0, 1, 2: -(1 + y_e + x_e). The fold skips and orders the
-vertices as in quotient, scaling by 4^kappa. PairQuotientPoly holds only
-packed keys as QuotientPoly does; the conformal route re-encodes its
-table's base-4 codes, which lack the top code 3.
-
-The enumerations, tests and conformal table run on the same codes through
-the group-generic code tuples of flows: the table's packed keys hold one
-base-4 digit per edge, and the top code 3 is swept out as in flows.
+basic codes 0, 1, 2: -(1 + y_e + x_e).
 
 There is no evaluation layer: the Klein polynomial is decided through its
 normal form, its conformal table and brute force. The raw expansion and its
@@ -41,16 +40,16 @@ from .flows import (
     ConformalTable,
     _Group,
     _circulations,
-    _conformal_sums,
     _flow_test,
+    _nz_flow,
     _potentials,
-    _sweep_order,
+    _tension_sums,
     _tensions,
     _weights,
 )
-from .graphs import UndirectedGraph, kappa
+from .graphs import UndirectedGraph
 from .polynomials import Poly
-from .quotient import _PackedForm, _fold_vertex_factors, _reduce_digits, _repack
+from .quotient import _PackedForm, _conformal_form, _fold, _reduce_digits
 
 KleinPair = tuple[int, int]
 
@@ -67,7 +66,7 @@ def _klein_group() -> _Group:
     for x in range(4):
         for y in range(4):
             diff[label[x] - label[y]] = x ^ y
-    return _Group(label, tuple(diff))
+    return _Group(label, tuple(diff), KLEIN, "Klein")
 
 
 _KLEIN_GROUP = _klein_group()
@@ -200,10 +199,8 @@ def find_nz_four_flow(
 ) -> KleinMap | None:
     """The first nowhere-zero Klein flow in the order of
     enumerate_klein_circulations."""
-    for codes in _circulations(g, _KLEIN_GROUP, max_states):
-        if all(codes):
-            return _klein_maps(g.sorted_edge_ids, [codes])[0]
-    return None
+    codes = _nz_flow(g, _KLEIN_GROUP, max_states)
+    return None if codes is None else _klein_maps(g.sorted_edge_ids, [codes])[0]
 
 
 def reduce_pair_power(x_exp: int, y_exp: int, edge: str = "e") -> PairQuotientPoly:
@@ -241,19 +238,7 @@ def four_flow_polynomial_normal_form(
     (X + 1)(Y + 1) adds each Klein element to the pair of every non-loop
     edge at the vertex, an XOR on the codes. The unreduced expansion never
     exists."""
-    return PairQuotientPoly._of(g.sorted_edge_ids, 3, _klein_fold(g, max_terms))
-
-
-def _klein_fold(g: UndirectedGraph, max_terms: int | None) -> dict[int, int]:
-    """The packed normal form: empty exactly when the normal form is zero."""
-    bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
-    shift = lambda d, k, sign: d ^ k
-    return _fold_vertex_factors(g, 4, shift, bound, "Klein")
-
-
-def _klein_sums(g: UndirectedGraph, max_states) -> dict[int, int]:
-    tensions = _tensions(g, _KLEIN_GROUP, max_states)
-    return _conformal_sums(tensions, 4, len(g.edges), max_states, _sweep_order(g))
+    return PairQuotientPoly._of(g.sorted_edge_ids, 3, _fold(g, _KLEIN_GROUP, max_terms))
 
 
 def four_flow_coefficient_table(
@@ -261,7 +246,7 @@ def four_flow_coefficient_table(
 ) -> ConformalTable:
     """c(psi) over the nowhere-(1,1) maps psi, keyed by value tuples over
     g.sorted_edge_ids; zero entries dropped."""
-    return ConformalTable(g.sorted_edge_ids, KLEIN, _klein_sums(g, max_states))
+    return ConformalTable(g.sorted_edge_ids, KLEIN, _tension_sums(g, _KLEIN_GROUP, max_states))
 
 
 def conformal_pair_normal_form(
@@ -269,9 +254,7 @@ def conformal_pair_normal_form(
 ) -> PairQuotientPoly:
     """Normal form rebuilt from the coefficient table: 4^kappa times the
     basic-monomial sum."""
-    ids = g.sorted_edge_ids
-    acc = _klein_sums(g, max_states)
-    return PairQuotientPoly._of(ids, 3, _repack(acc, 4, len(ids), 4 ** kappa(g)))
+    return PairQuotientPoly._of(g.sorted_edge_ids, 3, _conformal_form(g, _KLEIN_GROUP, max_states))
 
 
 def has_nz_four_flow(
@@ -287,9 +270,9 @@ def has_nz_four_flow(
     circulation space). "all" runs the three and raises if they disagree.
     """
     if method == "membership":
-        return bool(_klein_fold(g, max_terms))
+        return bool(_fold(g, _KLEIN_GROUP, max_terms))
     if method == "conformal":
-        return bool(_klein_sums(g, max_states))
+        return bool(_tension_sums(g, _KLEIN_GROUP, max_states))
     if method == "brute":
         return find_nz_four_flow(g, max_states) is not None
     if method == "all":

@@ -15,9 +15,14 @@ order, which is the order the normal forms print in. The top digit p-1
 never occurs in a key; it expands to minus the sum of the basic digits
 0..p-2, as above.
 
-The fold skips the vertex of most non-loop arcs (then least id) in each
-component and scales by p^kappa: conservation at the other vertices of a
-component implies it there, so on the vanishing set its factor is p where
+The fold takes a group of flows, _fold(g, group): a digit is a group code,
+and a vertex factor adds each element k to the digits of the arcs entering
+the vertex and subtracts it from those leaving it, through the group's own
+labels and differences. Z_p gives the normal form here, and the Klein
+group, radix 3, the pair normal form of fourflow. With q elements, the
+fold skips the vertex of most non-loop arcs (then least id) in each
+component and scales by q^kappa: conservation at the other vertices of a
+component implies it there, so on the vanishing set its factor is q where
 theirs are nonzero. The rest go in greedy frontier order (Sekine, Imai and
 Tani, ISAAC 1995): next, the vertex leaving the fewest arcs with exactly
 one end folded, then the one of most arcs, then the least id.
@@ -26,8 +31,8 @@ A normal form holds only its packed keys, however it is built: the fold,
 the conformal route and `normalize` hand theirs over, and the constructor
 packs the Poly it is given. `is_zero`, `==` and `text_batches`, which the
 writers of formats print from, read the keys; `.poly` decodes them on each
-use. The conformal route re-encodes its table's base-p keys, which lack the
-top digit, in radix p-1.
+use. The conformal route (_conformal_form, for either group) re-encodes
+its table's base-q keys, which lack the top digit, in radix q-1.
 
 Evaluation at the vanishing-set point x_e = rho^k_e goes through one
 evaluator per digraph and p, which reads a code tuple over sorted_arc_ids:
@@ -46,7 +51,17 @@ from operator import mul
 
 from .cyclotomic import CyclotomicInt
 from .errors import BoundExceeded, DEFAULT_TERM_BOUND, PreconditionError
-from .flows import ZpMap, _chunk_tables, _convert, _tension_sums, _text_batches, _weights, is_flow
+from .flows import (
+    ZpMap,
+    _Group,
+    _chunk_tables,
+    _convert,
+    _tension_sums,
+    _text_batches,
+    _weights,
+    _zp,
+    is_flow,
+)
 from .graphs import Digraph, kappa
 from .polynomials import Mono, Poly
 
@@ -232,15 +247,17 @@ def flow_polynomial_raw(g: Digraph, p: int, max_terms: int | None = None) -> Pol
     return acc
 
 
-def _fold_vertex_factors(g, q: int, shift, max_terms: int, stage: str) -> dict[int, int]:
-    """The reduced product of the vertex factors, as packed key -> coeff.
+def _fold(g, group: _Group, max_terms: int | None) -> dict[int, int]:
+    """The packed normal form of g's flow polynomial over the group, as
+    packed key -> coeff: empty exactly when the normal form is zero.
 
-    Vertex v's factor sums, over the q group elements k, the monomial that
-    moves the digit d of each non-loop record at v to shift(d, k, sign),
-    with the record's star sign at v (+1 at its second end, -1 at its
-    first); loops drop out. The skipped vertices start the accumulator at
-    q^kappa; see the module doc.
+    Vertex v's factor sums, over the q codes k, the monomial that moves the
+    digit d of each non-loop record at v to d + k at the record's second
+    end and to d - k at its first, in the group; loops drop out. The
+    skipped vertices start the accumulator at q^kappa; see the module doc.
     """
+    bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
+    q = group.q
     r = q - 1
     weights = _weights(len(g.sorted_ids), r)
     ends = [g.by_id[i].ends() for i in g.sorted_ids]
@@ -257,8 +274,8 @@ def _fold_vertex_factors(g, q: int, shift, max_terms: int, stage: str) -> dict[i
             closed[ends[i][s < 0]] += 1
     acc = {0: q ** len(comps)}
     for step, v in enumerate(order, 1):
-        star = [(weights[i], s) for i, s in g.stars[v]]
-        where = f"{stage} normal form exceeds {max_terms} terms at vertex {step} of {len(order)}"
+        star = [(weights[i], s > 0) for i, s in g.stars[v]]
+        where = f"{group.name} normal form exceeds {bound} terms at vertex {step} of {len(order)}"
         # each local digit state expands once into (key delta, coeff) pairs
         table: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         out: dict[int, int] = {}
@@ -266,7 +283,7 @@ def _fold_vertex_factors(g, q: int, shift, max_terms: int, stage: str) -> dict[i
             state = tuple([key // w % r for w, _ in star])
             pairs = table.get(state)
             if pairs is None:
-                pairs = table[state] = _expand_state(state, star, r, shift, max_terms, where)
+                pairs = table[state] = _expand_state(state, star, group, bound, where)
             for delta, c in pairs:
                 delta += key
                 c = out.get(delta, 0) + c * coeff
@@ -274,20 +291,27 @@ def _fold_vertex_factors(g, q: int, shift, max_terms: int, stage: str) -> dict[i
                     out[delta] = c
                 else:
                     del out[delta]
-            if len(out) > max_terms:
+            if len(out) > bound:
                 raise BoundExceeded(where)
         acc = out
     return acc
 
 
-def _expand_state(state, star, r: int, shift, max_terms: int, where: str):
-    """One local digit state times the vertex factor. A top digit expands
-    to the r basic digits, so the bound is checked before expanding."""
+def _expand_state(state, star, group: _Group, max_terms: int, where: str):
+    """One local digit state times the vertex factor, star holding each
+    record's (key weight, at its second end). A top digit expands to the r
+    basic digits, so the bound is checked before expanding."""
+    label, diff = group.label, group.diff
+    r = group.q - 1
+    at = [(label[d], d, w, second) for d, (w, second) in zip(state, star)]
     out: dict[int, int] = {}
-    for k in range(r + 1):
+    for x in label:
+        # the labels of k and -k for the code k of label x: a digit d moves
+        # to d - k at its record's first end and to d - (-k) at its second
+        minus = (x, label[diff[-x]])
         base, hot = 0, []
-        for d, (w, sign) in zip(state, star):
-            e = shift(d, k, sign)
+        for ld, d, w, second in at:
+            e = diff[ld - minus[second]]
             if e == r:
                 hot.append(w)
                 e = 0
@@ -320,9 +344,13 @@ def _unpack(acc: dict[int, int], r: int, weights, columns) -> dict[Mono, int]:
     return terms
 
 
-def _repack(acc: dict[int, int], q: int, n: int, scale: int) -> dict[int, int]:
-    """Base-q keys of n digits without the top digit q-1, such as a
-    conformal table's, as radix-(q-1) keys, each coefficient times scale."""
+def _conformal_form(g, group: _Group, max_states) -> dict[int, int]:
+    """The packed normal form by the conformal route: q^kappa times the
+    tension table of g, whose base-q keys lack the top digit q-1, re-keyed
+    in radix q-1."""
+    q, n = group.q, len(g.sorted_ids)
+    acc = _tension_sums(g, group, max_states)
+    scale = q ** kappa(g)
     weights = _weights(n, q - 1)
     cell = lambda start, digits: sum(map(mul, digits, weights[start:]))
     keys = _convert(acc, _chunk_tables(n, q, cell, len(acc)))
@@ -335,22 +363,13 @@ def flow_polynomial_normal_form(
     """Normal form of the flow polynomial, folded vertex by vertex on packed
     keys: k in Z_p adds to the exponent of each arc entering the vertex and
     subtracts from each leaving it; the unreduced expansion never exists."""
-    return QuotientPoly._of(g.sorted_arc_ids, p - 1, _zp_fold(g, p, max_terms))
-
-
-def _zp_fold(g: Digraph, p: int, max_terms: int | None) -> dict[int, int]:
-    """The packed normal form: empty exactly when the normal form is zero."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
-    shift = lambda d, k, sign: (d + sign * k) % p
-    return _fold_vertex_factors(g, p, shift, bound, f"Z_{p}")
+    return QuotientPoly._of(g.sorted_arc_ids, p - 1, _fold(g, _zp(p), max_terms))
 
 
 def has_nz_flow_membership(g: Digraph, p: int, max_terms: int | None = None) -> bool:
     """Nowhere-zero p-flow existence by non-membership of the flow
     polynomial in the ideal, decided on the packed keys without decoding."""
-    return bool(_zp_fold(g, p, max_terms))
+    return bool(_fold(g, _zp(p), max_terms))
 
 
 def conformal_normal_form(
@@ -359,9 +378,7 @@ def conformal_normal_form(
     """The normal form rebuilt from conformal dual-flow counts: p^kappa
     times the sum of c(psi) over the basic monomials. Independent of the
     polynomial reduction route; the two must agree term by term."""
-    ids = g.sorted_arc_ids
-    acc = _tension_sums(g, p, max_states)
-    return QuotientPoly._of(ids, p - 1, _repack(acc, p, len(ids), p ** kappa(g)))
+    return QuotientPoly._of(g.sorted_arc_ids, p - 1, _conformal_form(g, _zp(p), max_states))
 
 
 def surplus_eval(g: Digraph, phi: ZpMap) -> int:

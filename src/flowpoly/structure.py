@@ -24,7 +24,7 @@ from .embedding import PlaneDual, RotationSystem, plane_dual
 from .errors import PreconditionError, VerificationError
 from .flows import (
     ZpMap,
-    _flow_tuples,
+    _circulations,
     _tensions,
     _zp,
     coloring_from_dual_flow,
@@ -238,7 +238,7 @@ def check_planar_duality(
 
     # the dual keeps the primal arc ids, so both sets are over the same sorted ids
     tensions = set(_tensions(g, _zp(p), max_states))
-    bijection_ok = tensions == set(_flow_tuples(dual, p, max_states))
+    bijection_ok = tensions == set(_circulations(dual, _zp(p), max_states))
 
     return PlanarReport(
         p=p,
@@ -259,15 +259,6 @@ class ColoringReport:
     agrees: bool
     coloring: dict[str, int] | None
 
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "colorable": self.colorable,
-            "dually_flowing": self.dually_flowing,
-            "agrees": self.agrees,
-            "coloring": self.coloring,
-        }
-
 
 def check_coloring_correspondence(
     g: UndirectedGraph, p: int, max_states: int | None = None
@@ -278,16 +269,11 @@ def check_coloring_correspondence(
     coloring, which is checked to be proper."""
     colorable = is_p_colorable(g, p, max_states)
     d = orient(g)
-    ids = d.sorted_arc_ids
-    witness = None
-    for values in _tensions(d, _zp(p), max_states):
-        if all(values):
-            witness = ZpMap.from_tuple(p, ids, values)
-            break
-    flowing = witness is not None
+    values = next((v for v in _tensions(d, _zp(p), max_states) if all(v)), None)
+    flowing = values is not None
     coloring = None
-    if witness is not None:
-        coloring = coloring_from_dual_flow(d, witness)
+    if flowing:
+        coloring = coloring_from_dual_flow(d, ZpMap.from_tuple(p, d.sorted_arc_ids, values))
         for e in g.edges:
             if not e.is_loop and coloring[e.u] == coloring[e.v]:
                 raise VerificationError(

@@ -18,7 +18,8 @@ coefficient table.
 
 product_tensions builds every tension afresh from a product over the
 potentials; the package steps an odometer and recomputes only the records
-whose potentials changed.
+whose potentials changed. is_dual_flow_by_circuits is the definition of a
+tension, a zero sum around every circuit; the package grows potentials.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from itertools import product
 from flowpoly.errors import DEFAULT_TERM_BOUND
 from flowpoly.flows import _check_states, _count_conformal, _tensions
 from flowpoly.fourflow import KLEIN, _KLEIN_GROUP, KleinMap, xvar, yvar
+from flowpoly.graphs import circuits
 from flowpoly.polynomials import Poly
 
 
@@ -238,3 +240,13 @@ def product_tensions(g, group, max_states, ids=None):
     # a[-1] = 0 is the label of every root's potential
     for a in product(*[group.label] * len(free), (0,)):
         yield tuple([diff[a[h] - a[t]] for h, t in pairs])
+
+
+def is_dual_flow_by_circuits(g, phi) -> bool:
+    """Whether the Z_p map phi sums to zero mod p around every circuit of g,
+    each arc counted with the sign of the direction the circuit walks it."""
+    phi.check_domain(g)
+    return all(
+        sum(phi[a] if forward else -phi[a] for a, forward in c.steps) % phi.p == 0
+        for c in circuits(g)
+    )

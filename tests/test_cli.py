@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import time
 from collections import Counter
@@ -177,6 +178,22 @@ class TestPlanarAndDual:
         assert code == 2
         assert "rot" in err
 
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_undirected_embedded_file(self, capsys, tmp_path, corpus_dir, p):
+        # k4_embedded with its arc records as edges: planar-check and dual
+        # read it, and verify runs the planar-duality check on it too
+        text = (corpus_dir / "k4_embedded.g").read_text()
+        path = tmp_path / "k4_embedded_undirected.g"
+        path.write_text(re.sub(r"^a ", "e ", text, flags=re.MULTILINE))
+        code, out, _ = run(capsys, "planar-check", "-p", p, path)
+        assert code == 0
+        data = json.loads(out)
+        assert data["agrees"] and data["bijection_ok"]
+        code, out, _ = run(capsys, "verify", "-p", p, path)
+        assert code == 0, out
+        expect = f"ok   planar-duality: nz_flow={data['nz_flow']} bijection_ok=True"
+        assert expect in out.splitlines()
+
 
 class TestColor:
     def test_verdicts(self, capsys, corpus_dir):
@@ -321,13 +338,15 @@ def patch_everywhere(monkeypatch, name, make):
             monkeypatch.setattr(m, name, replacement)
 
 
-def count_calls(monkeypatch, *names):
+def count_calls(monkeypatch, *names, per_group=False):
+    """Calls of each of `names`, or per_group, of each name and the name of
+    the group it was called with, its second argument."""
     calls = Counter()
     for name in names:
 
         def make(fn, name=name):
             def counted(*args, **kwargs):
-                calls[name] += 1
+                calls[(name, args[1].name) if per_group else name] += 1
                 return fn(*args, **kwargs)
 
             return counted
@@ -337,16 +356,17 @@ def count_calls(monkeypatch, *names):
 
 
 class TestComputeOnce:
-    KLEIN = ("_klein_fold", "four_flow_coefficient_table", "find_nz_four_flow")
+    KLEIN = ("_fold", "_tension_sums", "four_flow_coefficient_table", "find_nz_four_flow")
 
     def test_verify_p4_builds_each_artifact_once(self, capsys, monkeypatch, corpus_dir):
-        # the conformal normal forms build on the packed sums, not on the tables
-        names = ("_klein_fold", "_klein_sums", "find_nz_four_flow", "_zp_fold", "_tension_sums")
-        calls = count_calls(monkeypatch, *names)
+        # the conformal normal forms build on the packed sums, not on the
+        # tables; one fold, one table and one witness search per group
+        names = ("_fold", "_tension_sums", "_nz_flow")
+        calls = count_calls(monkeypatch, *names, per_group=True)
         code, out, _ = run(capsys, "verify", "-p", 4, corpus_dir / "k4.g")
         assert code == 0, out
         assert "four-flow-identity" in out
-        assert calls == dict.fromkeys(names, 1)
+        assert calls == {(name, group): 1 for name in names for group in ("Z_4", "Klein")}
 
     def test_four_flow_table_builds_each_artifact_once(
         self, capsys, monkeypatch, corpus_dir

@@ -18,7 +18,7 @@ from families import (
     small_multigraphs,
     triangle,
 )
-from oracles import product_tensions
+from oracles import is_dual_flow_by_circuits, product_tensions
 from flowpoly import flows
 from flowpoly.errors import BoundExceeded
 from flowpoly.flows import (
@@ -34,6 +34,8 @@ from flowpoly.flows import (
     count_conformal_flows,
     enumerate_dual_flows,
     enumerate_flows,
+    find_nz_flow,
+    flow_conformal_table,
     has_nz_flow_conformal,
     is_conformal,
     is_dual_flow,
@@ -42,7 +44,11 @@ from flowpoly.flows import (
     parity,
     surplus,
 )
-from flowpoly.quotient import conformal_normal_form
+from flowpoly.quotient import (
+    conformal_normal_form,
+    flow_polynomial_normal_form,
+    has_nz_flow_membership,
+)
 from flowpoly.fourflow import _KLEIN_GROUP
 from flowpoly.graphs import (
     Digraph,
@@ -93,16 +99,17 @@ class TestIsFlow:
 class TestIsDualFlow:
     def test_worked_example_values(self):
         g = example_graph()
-        assert is_dual_flow(g, zp(3, 2, 1, 2), debug=True)
-        assert not is_dual_flow(g, zp(3, 1, 0, 0), debug=True)
-        assert is_dual_flow(g, zp(3, 0, 0, 0), debug=True)
+        cases = ((zp(3, 2, 1, 2), True), (zp(3, 1, 0, 0), False), (zp(3, 0, 0, 0), True))
+        for phi, expect in cases:
+            assert is_dual_flow(g, phi) is expect
+            assert is_dual_flow_by_circuits(g, phi) is expect
 
     def test_loop_forces_zero(self):
         g = Digraph.build([("e1", "u", "u")])
         assert is_dual_flow(g, ZpMap(3, {"e1": 0}))
         assert not is_dual_flow(g, ZpMap(3, {"e1": 1}))
 
-    def test_debug_mode_on_random_graphs(self):
+    def test_agrees_with_circuit_sums_on_random_graphs(self):
         rng = random.Random(7)
         for g in all_connected_multigraphs(4):
             d = default_orientation(g)
@@ -110,7 +117,7 @@ class TestIsDualFlow:
                 phi = ZpMap(
                     3, {a: rng.randrange(3) for a in d.sorted_arc_ids}
                 )
-                is_dual_flow(d, phi, debug=True)  # raises on disagreement
+                assert is_dual_flow(d, phi) == is_dual_flow_by_circuits(d, phi)
 
 
 class TestEnumerateFlows:
@@ -281,13 +288,31 @@ class TestSweepOrder:
 
 
 class TestConformalRouteRejectsSmallModuli:
+    # the conformal routes and every other Z_p route build their group
+    # through _zp, which holds the check
     @pytest.mark.parametrize("p", [0, 1])
     @pytest.mark.parametrize(
-        "route", [has_nz_flow_conformal, coefficient_table, conformal_normal_form]
+        "route",
+        [
+            has_nz_flow_conformal,
+            coefficient_table,
+            conformal_normal_form,
+            flow_polynomial_normal_form,
+            has_nz_flow_membership,
+            enumerate_flows,
+            enumerate_dual_flows,
+            find_nz_flow,
+            flow_conformal_table,
+        ],
     )
     def test_p_below_two(self, route, p):
         with pytest.raises(ValueError, match="^p must be >= 2$"):
             route(example_graph(), p)
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_the_group_holds_the_check(self, p):
+        with pytest.raises(ValueError, match="^p must be >= 2$"):
+            _zp(p)
 
 
 class TestParity:

@@ -18,7 +18,7 @@ from families import (
 )
 from flowpoly.cyclotomic import CyclotomicInt, cyclotomic_eval, cyclotomic_polynomial
 from flowpoly.errors import BoundExceeded
-from flowpoly.flows import ZpMap, _flow_tuples, is_flow, surplus
+from flowpoly.flows import ZpMap, _circulations, _zp, is_flow, surplus
 from flowpoly.graphs import Digraph, orient
 from flowpoly.polynomials import Poly
 from flowpoly.quotient import (
@@ -371,7 +371,7 @@ class TestEvaluation:
         top = CyclotomicInt.from_int(p, p ** len(g.vertices))
         points = product(range(1, p), repeat=len(ids))
         flows = sum(1 for codes in points if evaluate(codes) == top)
-        assert flows == sum(1 for codes in _flow_tuples(g, p, None) if all(codes))
+        assert flows == sum(1 for codes in _circulations(g, _zp(p), None) if all(codes))
 
     def test_dichotomy_small(self):
         # only two values ever appear on the zero set: 0 and p^|V|

@@ -15,7 +15,7 @@ from families import (
     triangle,
 )
 from flowpoly.errors import PreconditionError
-from flowpoly.flows import enumerate_flows
+from flowpoly.flows import enumerate_flows, is_p_colorable
 from flowpoly.formats import load_graph
 from flowpoly.graphs import UndirectedGraph, is_bridgeless, is_chordal, reverse_arcs
 from flowpoly.quotient import (
@@ -155,6 +155,12 @@ class TestColoringCorrespondence:
     def test_petersen_p3(self):
         report = check_coloring_correspondence(petersen(), 3)
         assert report.colorable and report.dually_flowing and report.agrees
+
+    def test_p1_is_rejected_by_the_tension_side(self):
+        # the colorability search takes p = 1; the Z_1 tensions do not exist
+        assert not is_p_colorable(triangle(), 1)
+        with pytest.raises(ValueError, match="^p must be >= 2$"):
+            check_coloring_correspondence(triangle(), 1)
 
 
 class TestOrientationInvariance:
