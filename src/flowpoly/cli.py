@@ -172,9 +172,7 @@ def cmd_four_flow(args) -> int:
     nf = four_flow_polynomial_normal_form(g, max_terms=args.bound)
     table = four_flow_coefficient_table(g, max_states=args.bound)
     witness = find_nz_four_flow(g, max_states=args.bound)
-    answer = _three_way_answer(
-        not nf.is_zero, any(c != 0 for c in table.values()), witness is not None
-    )
+    answer = _three_way_answer(not nf.is_zero, bool(table), witness is not None)
     if args.json:
         payload = {"normal_form": pair_poly_to_json(nf), "nz_four_flow": answer}
         if witness is not None:
@@ -305,14 +303,16 @@ def _verify_checks(args):
     )
 
     if parsed.rotation is not None:
-        planar = check_planar_duality(
-            g, parsed.rotation, p, max_states=bound, max_terms=bound
-        )
-        yield (
-            "planar-duality",
-            planar.agrees and planar.bijection_ok,
-            f"nz_flow={planar.nz_flow} bijection_ok={planar.bijection_ok}",
-        )
+        parsed.rotation.validate(g)
+        if kappa(g) == 1:  # plane duality needs a connected graph
+            planar = check_planar_duality(
+                g, parsed.rotation, p, max_states=bound, max_terms=bound
+            )
+            yield (
+                "planar-duality",
+                planar.agrees and planar.bijection_ok,
+                f"nz_flow={planar.nz_flow} bijection_ok={planar.bijection_ok}",
+            )
 
     if p == 4:
         u = parsed.as_undirected()

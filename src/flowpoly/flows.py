@@ -52,6 +52,8 @@ A ConformalTable holds the keys of a table: its length, its values and the
 rows the writers of formats print are read off them packed, and a lookup
 by value tuple decodes them once.
 
+The normal forms of quotient and fourflow key monomials in this layout
+too, so a tension table scaled by q^kappa is a conformal normal form.
 Packed keys of both tables and normal forms convert a few digits at a time:
 _chunk_tables splits the digit positions into runs and tabulates a value
 per run for every digit pattern, and _convert adds up one looked-up value

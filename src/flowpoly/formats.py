@@ -138,13 +138,25 @@ def graph_to_text(g, rotation: RotationSystem | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _unique(pairs) -> dict:
+    """The (key, value) pairs of a map file as a dict; a repeated key is
+    bad input."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise GraphFormatError(f"repeated key {key!r} in the map")
+        out[key] = value
+    return out
+
+
 def parse_zp_map(text: str) -> "ZpMap":
-    """Either the `p=3; e1=1; ...` text form or the JSON form."""
+    """Either the `p=3; e1=1; ...` text form or the JSON form. A key
+    repeated in the text, or in any JSON object, is bad input."""
     from .flows import ZpMap
 
     text = text.strip()
     if text.startswith("{"):
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique)
         if not isinstance(data, dict) or "p" not in data or "values" not in data:
             raise GraphFormatError("a JSON map is an object with keys p, values")
         if not isinstance(data["values"], dict):
@@ -156,19 +168,16 @@ def parse_zp_map(text: str) -> "ZpMap":
             raise GraphFormatError(f"bad p {data['p']!r}")
         return ZpMap(data["p"], data["values"])
     parts = [chunk.strip() for chunk in text.split(";") if chunk.strip()]
-    p = None
-    values = {}
+    pairs = []
     for part in parts:
         if "=" not in part:
             raise GraphFormatError(f"bad assignment {part!r}")
         key, val = (s.strip() for s in part.split("=", 1))
-        if key == "p":
-            p = int(val)
-        else:
-            values[key] = int(val)
-    if p is None:
+        pairs.append((key, int(val)))
+    values = _unique(pairs)
+    if "p" not in values:
         raise GraphFormatError("map text must set p")
-    return ZpMap(p, values)
+    return ZpMap(values.pop("p"), values)
 
 
 def zp_map_to_text(m) -> str:

@@ -13,18 +13,19 @@ obstruct a flow and force tension value (0, 0).
 This module holds the Klein group, _KLEIN_GROUP on the codes 2a+b of
 KLEIN (adding an element is XOR of codes), its map KleinMap and the pair
 normal form PairQuotientPoly. Every route is a one-line call of the
-group-generic one with _KLEIN_GROUP: the fold and the conformal normal form
-of quotient, and the tests, enumerations, tension table and witness search
-of flows.
+group-generic one with _KLEIN_GROUP: the fold of quotient, and the tests,
+enumerations, tension table and witness search of flows. The conformal
+normal form is the tension table itself, scaled by 4^kappa.
 
-The pair normal form holds one radix-3 digit per edge, the edge at
-position i of sorted_edge_ids at weight 3^(n-1-i) for n edges, holding the
-code 2a+b of the edge's exponent pair (a, b). The first edge is the most
-significant digit, and code order is the lexicographic order of the pairs,
-so integer key order is the lexicographic exponent order over
-x_e1, y_e1, x_e2, ..., the order the normal forms print in. The top code 3,
-the pair (1,1), never occurs in a key; it expands to minus the sum of the
-basic codes 0, 1, 2: -(1 + y_e + x_e).
+The pair normal form keys a monomial as the Klein tables key a map: the
+base-4 integer of one code per edge, the edge at position i of
+sorted_edge_ids at weight 4^(n-1-i) for n edges holding the code 2a+b of
+the edge's exponent pair (a, b). The first edge is the most significant
+digit, and code order is the lexicographic order of the pairs, so integer
+key order is the lexicographic exponent order over x_e1, y_e1, x_e2, ...,
+the order the normal forms print in. The top code 3, the pair (1,1), never
+occurs in a key; it expands to minus the sum of the basic codes 0, 1, 2:
+-(1 + y_e + x_e).
 
 There is no evaluation layer: the Klein polynomial is decided through its
 normal form, its conformal table and brute force. The raw expansion and its
@@ -47,9 +48,9 @@ from .flows import (
     _tensions,
     _weights,
 )
-from .graphs import UndirectedGraph
+from .graphs import UndirectedGraph, kappa
 from .polynomials import Poly
-from .quotient import _PackedForm, _conformal_form, _fold, _reduce_digits
+from .quotient import _PackedForm, _fold, _reduce_digits
 
 KleinPair = tuple[int, int]
 
@@ -117,39 +118,27 @@ class PairQuotientPoly(_PackedForm):
     _fields = ("edges",)
 
     def __init__(self, edges: tuple[str, ...], poly: Poly):
-        weight = dict(zip(edges, _weights(len(edges), 3)))
+        weight = dict(zip(edges, _weights(len(edges), 4)))
         packed = {}
         for mono, c in poly.items():
-            codes: dict[str, int] = {}
-            for (kind, edge), exp in mono:
+            for (_, edge), exp in mono:
                 if edge not in weight:
                     raise ValueError(f"variable for {edge!r} outside the universe")
                 if exp != 1:
                     raise ValueError(f"exponent {exp} not reduced")
-                codes[edge] = codes.get(edge, 0) + (2 if kind == "x" else 1)
+            codes = _pair_codes(mono)
             for edge, code in codes.items():
                 if code == 3:
                     raise ValueError(f"edge {edge!r} carries the (1,1) pair")
             packed[sum(code * weight[e] for e, code in codes.items())] = c
-        super().__init__(edges, 3, packed)
+        super().__init__(edges, 4, packed)
 
     @property
     def edges(self) -> tuple[str, ...]:
         return self._ids
 
-    def _columns(self, ids):
-        xs = [(None, None, (xvar(e), 1)) for e in ids]  # code 2a+b: 2 is x_e
-        ys = [(None, (yvar(e), 1), None) for e in ids]
-        return [xs, ys]
-
-    def coefficient(self, psi: "KleinMap") -> int:
-        exps = {}
-        for e, (r1, r2) in psi.values.items():
-            if r1:
-                exps[xvar(e)] = 1
-            if r2:
-                exps[yvar(e)] = 1
-        return self.poly.coefficient(exps)
+    def _factors(self, edge):
+        return [None, (yvar(edge), 1), (xvar(edge), 1), None]  # code 2a+b: 2 is x_e
 
 
 def _codes(g: UndirectedGraph, phi: KleinMap) -> list[int]:
@@ -228,7 +217,7 @@ def normalize_pair(
     if edges is None:
         edges = tuple(sorted({v[1] for v in f.variables()}))
     terms = ((_pair_codes(mono), c) for mono, c in f.items())
-    return PairQuotientPoly._of(tuple(edges), 3, _reduce_digits(terms, edges, 3, bound))
+    return PairQuotientPoly._of(tuple(edges), 4, _reduce_digits(terms, edges, 4, bound))
 
 
 def four_flow_polynomial_normal_form(
@@ -238,7 +227,7 @@ def four_flow_polynomial_normal_form(
     (X + 1)(Y + 1) adds each Klein element to the pair of every non-loop
     edge at the vertex, an XOR on the codes. The unreduced expansion never
     exists."""
-    return PairQuotientPoly._of(g.sorted_edge_ids, 3, _fold(g, _KLEIN_GROUP, max_terms))
+    return PairQuotientPoly._of(g.sorted_edge_ids, 4, _fold(g, _KLEIN_GROUP, max_terms))
 
 
 def four_flow_coefficient_table(
@@ -254,7 +243,8 @@ def conformal_pair_normal_form(
 ) -> PairQuotientPoly:
     """Normal form rebuilt from the coefficient table: 4^kappa times the
     basic-monomial sum."""
-    return PairQuotientPoly._of(g.sorted_edge_ids, 3, _conformal_form(g, _KLEIN_GROUP, max_states))
+    table = _tension_sums(g, _KLEIN_GROUP, max_states)
+    return PairQuotientPoly._of(g.sorted_edge_ids, 4, table).scaled(4 ** kappa(g))
 
 
 def has_nz_four_flow(

@@ -7,19 +7,19 @@ x^r with r = exponent mod p reduces to x^r when r <= p-2 and to
 -(1 + x + ... + x^(p-2)) when r = p-1. Everything is exact over the
 integers; the quotient's complex structure is never needed.
 
-The normal form folds on packed keys: a basic monomial is one integer with
-a radix-(p-1) digit per arc, the exponent of the arc at position i of
-sorted_arc_ids at weight (p-1)^(n-1-i) for n arcs. The first arc is the
-most significant digit, so integer key order is the lexicographic exponent
-order, which is the order the normal forms print in. The top digit p-1
-never occurs in a key; it expands to minus the sum of the basic digits
-0..p-2, as above.
+The normal form folds on the packed keys of the conformal tables of flows:
+a basic monomial is the base-p integer of its exponents, the exponent of
+the arc at position i of sorted_arc_ids at weight p^(n-1-i) for n arcs.
+The first arc is the most significant digit, so integer key order is the
+lexicographic exponent order, which is the order the normal forms print
+in. The top digit p-1 never occurs in a key, nor in a swept table; it
+expands to minus the sum of the basic digits 0..p-2, as above.
 
 The fold takes a group of flows, _fold(g, group): a digit is a group code,
 and a vertex factor adds each element k to the digits of the arcs entering
 the vertex and subtracts it from those leaving it, through the group's own
 labels and differences. Z_p gives the normal form here, and the Klein
-group, radix 3, the pair normal form of fourflow. With q elements, the
+group, base 4, the pair normal form of fourflow. With q elements, the
 fold skips the vertex of most non-loop arcs (then least id) in each
 component and scales by q^kappa: conservation at the other vertices of a
 component implies it there, so on the vanishing set its factor is q where
@@ -31,8 +31,10 @@ A normal form holds only its packed keys, however it is built: the fold,
 the conformal route and `normalize` hand theirs over, and the constructor
 packs the Poly it is given. `is_zero`, `==` and `text_batches`, which the
 writers of formats print from, read the keys; `.poly` decodes them on each
-use. The conformal route (_conformal_form, for either group) re-encodes
-its table's base-q keys, which lack the top digit, in radix q-1.
+use with flows._decode, as a table's are. The conformal route is the table
+scaled: conformal_normal_form holds the keys of the tension table as they
+are, times p^kappa, and conformal_pair_normal_form of fourflow those of the
+Klein table, times 4^kappa.
 
 Evaluation at the vanishing-set point x_e = rho^k_e goes through one
 evaluator per digraph and p, which reads a code tuple over sorted_arc_ids:
@@ -47,7 +49,6 @@ stay independent computations.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
 
 from .cyclotomic import CyclotomicInt
 from .errors import BoundExceeded, DEFAULT_TERM_BOUND, PreconditionError
@@ -55,7 +56,7 @@ from .flows import (
     ZpMap,
     _Group,
     _chunk_tables,
-    _convert,
+    _decode,
     _tension_sums,
     _text_batches,
     _weights,
@@ -63,37 +64,37 @@ from .flows import (
     is_flow,
 )
 from .graphs import Digraph, kappa
-from .polynomials import Mono, Poly
+from .polynomials import Poly
 
 
 class _PackedForm:
     """The members the normal forms of both groups share. A form holds
-    packed key -> coefficient, one radix-`_radix` digit per id of `_ids` at
-    the weights of `_weights`. Subclasses name their public `_fields` and
-    give the decode `_columns` of `_unpack` for a sequence of ids."""
+    packed key -> coefficient over the ids `_ids`, the base-`_q` integer of
+    one group code per id at the weights of `_weights`, as the tables of
+    flows key theirs; the top code q-1 never occurs. Subclasses name their
+    public `_fields` and give `_factors(id)`, the (var, exp) pair of each
+    code of the id, None for code 0."""
 
     _fields: tuple[str, ...]
 
-    def __init__(self, ids: tuple[str, ...], radix: int, packed: dict[int, int]):
-        self._ids, self._radix, self._packed = ids, radix, packed
+    def __init__(self, ids: tuple[str, ...], q: int, packed: dict[int, int]):
+        self._ids, self._q, self._packed = ids, q, packed
 
     @classmethod
-    def _of(cls, ids: tuple[str, ...], radix: int, packed: dict[int, int]):
+    def _of(cls, ids: tuple[str, ...], q: int, packed: dict[int, int]):
         """A form of this class holding these keys, with no Poly to check."""
         form = cls.__new__(cls)
-        _PackedForm.__init__(form, ids, radix, packed)
+        _PackedForm.__init__(form, ids, q, packed)
         return form
-
-    def _by_id(self) -> list[tuple[str, int]]:
-        """(id, key weight) pairs in sorted-id order, the order in which a
-        monomial lists its variables."""
-        return sorted(zip(self._ids, _weights(len(self._ids), self._radix)))
 
     @property
     def poly(self) -> Poly:
-        by_id = self._by_id()
-        columns = self._columns([i for i, _ in by_id])
-        return Poly(_unpack(self._packed, self._radix, [w for _, w in by_id], columns))
+        factors = [self._factors(i) for i in self._ids]
+        decoded = _decode(self._packed, self._q, len(self._ids), range(self._q))
+        return Poly({
+            tuple(sorted([f[d] for f, d in zip(factors, codes) if d])): c
+            for codes, c in decoded.items()
+        })
 
     @property
     def is_zero(self) -> bool:
@@ -101,27 +102,27 @@ class _PackedForm:
 
     def scaled(self, c: int):
         packed = {k: v * c for k, v in self._packed.items()} if c else {}
-        return self._of(self._ids, self._radix, packed)
+        return self._of(self._ids, self._q, packed)
 
     def text_batches(self, frag, descending: bool = False):
         """(coefficients, texts) per batch of terms in key order, that is
         lexicographic exponent order over `_ids`. A text joins frag(id, d)
-        over the nonzero digits d in sorted-id order, so keys over unsorted
+        over the nonzero codes d in sorted-id order, so keys over unsorted
         ids are first re-keyed with the weights of the sorted positions."""
-        ids, r, n = self._ids, self._radix, len(self._ids)
+        ids, q, n = self._ids, self._q, len(self._ids)
         by_id = sorted(range(n), key=ids.__getitem__)
-        frags = [[""] + [frag(ids[i], d) for d in range(1, r)] for i in by_id]
+        frags = [[""] + [frag(ids[i], d) for d in range(1, q)] for i in by_id]
         rekey = None
         if by_id != list(range(n)):
-            weight = dict(zip(by_id, _weights(n, r)))
+            weight = dict(zip(by_id, _weights(n, q)))
             cell = lambda start, digits: sum(d * weight[start + j] for j, d in enumerate(digits))
-            rekey = _chunk_tables(n, r, cell, len(self._packed))
-        return _text_batches(self._packed, r, frags, descending, rekey)
+            rekey = _chunk_tables(n, q, cell, len(self._packed))
+        return _text_batches(self._packed, q, frags, descending, rekey)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        if self._radix != other._radix:
+        if self._q != other._q:
             return False
         if self._ids == other._ids:
             return self._packed == other._packed
@@ -129,7 +130,7 @@ class _PackedForm:
 
     def __hash__(self):
         # the coefficients alone: forms over other id tuples can be equal
-        return hash((self._radix, frozenset(self._packed.values())))
+        return hash((self._q, frozenset(self._packed.values())))
 
     def __repr__(self) -> str:
         fields = "".join(f"{f}={getattr(self, f)!r}, " for f in self._fields)
@@ -142,7 +143,7 @@ class QuotientPoly(_PackedForm):
     _fields = ("p", "arcs")
 
     def __init__(self, p: int, arcs: tuple[str, ...], poly: Poly):
-        weight = dict(zip(arcs, _weights(len(arcs), p - 1)))
+        weight = dict(zip(arcs, _weights(len(arcs), p)))
         packed = {}
         for mono, c in poly.items():
             key = 0
@@ -153,18 +154,18 @@ class QuotientPoly(_PackedForm):
                     raise ValueError(f"exponent {exp} of {var!r} not in 1..{p - 2}")
                 key += exp * weight[var]
             packed[key] = c
-        super().__init__(arcs, p - 1, packed)
+        super().__init__(arcs, p, packed)
 
     @property
     def p(self) -> int:
-        return self._radix + 1
+        return self._q
 
     @property
     def arcs(self) -> tuple[str, ...]:
         return self._ids
 
-    def _columns(self, ids):
-        return [[[None] + [(a, d) for d in range(1, self._radix)] for a in ids]]
+    def _factors(self, arc):
+        return [None] + [(arc, d) for d in range(1, self._q)]
 
     def coefficient(self, psi: dict[str, int]) -> int:
         return self.poly.coefficient(psi)
@@ -177,20 +178,21 @@ def reduce_power(p: int, exponent: int, var: str = "x") -> QuotientPoly:
     return normalize(Poly.variable(var, exponent), p, (var,))
 
 
-def _reduce_digits(terms, ids, r: int, max_terms: int) -> dict[int, int]:
-    """Packed keys over ids of (id -> nonzero digit, coeff) terms with digits
-    in 1..r: a top digit r expands to minus the sum of the basic digits."""
-    weight = dict(zip(ids, _weights(len(ids), r)))
+def _reduce_digits(terms, ids, q: int, max_terms: int) -> dict[int, int]:
+    """Packed base-q keys over ids of (id -> nonzero code, coeff) terms: a
+    top code q-1 expands to minus the sum of the basic codes 0..q-2."""
+    top = q - 1
+    weight = dict(zip(ids, _weights(len(ids), q)))
     out: dict[int, int] = {}
     for digits, coeff in terms:
         keys = [0]
         for i, d in digits.items():
             if i not in weight:
                 raise ValueError(f"variable for {i!r} outside the universe")
-            if d < r:
+            if d < top:
                 keys = [k + d * weight[i] for k in keys]
             else:
-                keys = [k + e * weight[i] for k in keys for e in range(r)]
+                keys = [k + e * weight[i] for k in keys for e in range(top)]
                 coeff = -coeff
         for k in keys:
             c = out.get(k, 0) + coeff
@@ -216,7 +218,7 @@ def normalize(
     if arcs is None:
         arcs = tuple(sorted(f.variables()))
     terms = (({v: e % p for v, e in mono if e % p}, c) for mono, c in f.items())
-    return QuotientPoly._of(tuple(arcs), p - 1, _reduce_digits(terms, arcs, p - 1, bound))
+    return QuotientPoly._of(tuple(arcs), p, _reduce_digits(terms, arcs, p, bound))
 
 
 def is_in_ideal(f: Poly, p: int, max_terms: int | None = None) -> bool:
@@ -258,8 +260,7 @@ def _fold(g, group: _Group, max_terms: int | None) -> dict[int, int]:
     """
     bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
     q = group.q
-    r = q - 1
-    weights = _weights(len(g.sorted_ids), r)
+    weights = _weights(len(g.sorted_ids), q)
     ends = [g.by_id[i].ends() for i in g.sorted_ids]
     degree = {v: len(star) for v, star in g.stars.items()}
     comps = g.bfs[0]
@@ -280,7 +281,7 @@ def _fold(g, group: _Group, max_terms: int | None) -> dict[int, int]:
         table: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         out: dict[int, int] = {}
         for key, coeff in acc.items():
-            state = tuple([key // w % r for w, _ in star])
+            state = tuple([key // w % q for w, _ in star])
             pairs = table.get(state)
             if pairs is None:
                 pairs = table[state] = _expand_state(state, star, group, bound, where)
@@ -333,37 +334,13 @@ def _expand_state(state, star, group: _Group, max_terms: int, where: str):
     return list(out.items())
 
 
-def _unpack(acc: dict[int, int], r: int, weights, columns) -> dict[Mono, int]:
-    """Monomials of packed keys: `columns` map the id of each key weight and
-    its digit, per variable kind, to one (var, exponent) pair shared by
-    every term, or to None."""
-    terms = {}
-    for key, c in acc.items():
-        digits = [key // w % r for w in weights]
-        terms[tuple([t[d] for col in columns for t, d in zip(col, digits) if t[d]])] = c
-    return terms
-
-
-def _conformal_form(g, group: _Group, max_states) -> dict[int, int]:
-    """The packed normal form by the conformal route: q^kappa times the
-    tension table of g, whose base-q keys lack the top digit q-1, re-keyed
-    in radix q-1."""
-    q, n = group.q, len(g.sorted_ids)
-    acc = _tension_sums(g, group, max_states)
-    scale = q ** kappa(g)
-    weights = _weights(n, q - 1)
-    cell = lambda start, digits: sum(map(mul, digits, weights[start:]))
-    keys = _convert(acc, _chunk_tables(n, q, cell, len(acc)))
-    return {key: c * scale for key, c in zip(keys, acc.values())}
-
-
 def flow_polynomial_normal_form(
     g: Digraph, p: int, max_terms: int | None = None
 ) -> QuotientPoly:
     """Normal form of the flow polynomial, folded vertex by vertex on packed
     keys: k in Z_p adds to the exponent of each arc entering the vertex and
     subtracts from each leaving it; the unreduced expansion never exists."""
-    return QuotientPoly._of(g.sorted_arc_ids, p - 1, _fold(g, _zp(p), max_terms))
+    return QuotientPoly._of(g.sorted_arc_ids, p, _fold(g, _zp(p), max_terms))
 
 
 def has_nz_flow_membership(g: Digraph, p: int, max_terms: int | None = None) -> bool:
@@ -378,7 +355,8 @@ def conformal_normal_form(
     """The normal form rebuilt from conformal dual-flow counts: p^kappa
     times the sum of c(psi) over the basic monomials. Independent of the
     polynomial reduction route; the two must agree term by term."""
-    return QuotientPoly._of(g.sorted_arc_ids, p - 1, _conformal_form(g, _zp(p), max_states))
+    table = _tension_sums(g, _zp(p), max_states)
+    return QuotientPoly._of(g.sorted_arc_ids, p, table).scaled(p ** kappa(g))
 
 
 def surplus_eval(g: Digraph, phi: ZpMap) -> int:

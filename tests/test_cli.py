@@ -194,6 +194,30 @@ class TestPlanarAndDual:
         expect = f"ok   planar-duality: nz_flow={data['nz_flow']} bijection_ok=True"
         assert expect in out.splitlines()
 
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_disconnected_embedded_file(self, capsys, tmp_path, p):
+        # two disjoint digons, each with a plane rotation: verify runs every
+        # other check and prints no planar-duality line, as for a file
+        # without rot; planar-check and dual still refuse the file
+        text = (
+            "a e1 u v\na e2 v u\na f1 x y\na f2 y x\n"
+            "rot u e1+ e2-\nrot v e1- e2+\nrot x f1+ f2-\nrot y f1- f2+\n"
+        )
+        path = tmp_path / "two_digons.g"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", "-p", p, path)
+        assert (code, err) == (0, "")
+        names = [line.split()[1].rstrip(":") for line in out.splitlines()]
+        assert "planar-duality" not in names and "coloring-correspondence" in names
+        assert ("four-flow-identity" in names) == (p == 4)
+        for argv in (["planar-check", "-p", p], ["dual"]):
+            code, _, err = run(capsys, *argv, path)
+            assert (code, err) == (2, "error: plane duality requires a connected graph\n")
+        # a bad rotation still exits 2
+        path.write_text(text.replace("rot y f1- f2+", "rot y f1+ f2+"))
+        code, _, err = run(capsys, "verify", "-p", p, path)
+        assert code == 2 and "arc end f1+ listed at 'y'" in err
+
 
 class TestColor:
     def test_verdicts(self, capsys, corpus_dir):
@@ -457,6 +481,25 @@ class TestMapFileErrors:
         assert code == 2
         assert "internal error" not in err
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ("p=3; e1=2; e1=1; e2=2; e3=1", "e1"),
+            ("p=5; p=3; e1=1; e2=2; e3=1", "p"),
+            ('{"p": 3, "values": {"e1": 2, "e1": 1, "e2": 2, "e3": 1}}', "e1"),
+            ('{"p": 5, "p": 3, "values": {"e1": 1, "e2": 2, "e3": 1}}', "p"),
+        ],
+    )
+    @pytest.mark.parametrize("flag", ["--psi", "--from-dual-flow"])
+    def test_repeated_key_exits_2(self, capsys, tmp_path, corpus_dir, doc, key, flag):
+        # read with the last value of each key, the map is the tension of
+        # example_tension_121.map
+        bad = tmp_path / "repeated.map"
+        bad.write_text(doc)
+        command = "conformal" if flag == "--psi" else "color"
+        code, out, err = run(capsys, command, "-p", 3, flag, bad, corpus_dir / "example.g")
+        assert (code, out, err) == (2, "", f"error: repeated key {key!r} in the map\n")
+
     @pytest.mark.parametrize("flag", ["--psi", "--from-dual-flow"])
     def test_modulus_mismatch_exits_2(self, capsys, corpus_dir, flag):
         # the map file sets p=3
@@ -482,7 +525,8 @@ class TestOutputPathStaysPacked:
         def refuse(*args, **kwargs):
             raise AssertionError("a payload was built on the output path")
 
-        monkeypatch.setattr("flowpoly.quotient._unpack", refuse)
+        # .poly calls the _decode that quotient imports, tables the one of flows
+        monkeypatch.setattr("flowpoly.quotient._decode", refuse)
         monkeypatch.setattr("flowpoly.flows._decode", refuse)
         monkeypatch.setattr("flowpoly.formats.json.dumps", refuse)
         for name in ("quotient_poly_to_json", "pair_poly_to_json", "table_entries", "dump_json"):

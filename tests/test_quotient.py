@@ -18,8 +18,15 @@ from families import (
 )
 from flowpoly.cyclotomic import CyclotomicInt, cyclotomic_eval, cyclotomic_polynomial
 from flowpoly.errors import BoundExceeded
-from flowpoly.flows import ZpMap, _circulations, _zp, is_flow, surplus
-from flowpoly.graphs import Digraph, orient
+from flowpoly.flows import ZpMap, _circulations, _zp, coefficient_table, is_flow, surplus
+from flowpoly.fourflow import (
+    conformal_pair_normal_form,
+    four_flow_coefficient_table,
+    four_flow_polynomial_normal_form,
+    xvar,
+    yvar,
+)
+from flowpoly.graphs import Digraph, kappa, orient
 from flowpoly.polynomials import Poly
 from flowpoly.quotient import (
     QuotientPoly,
@@ -226,7 +233,7 @@ class TestFoldAgainstRawExpansion:
     @given(g=small_multigraphs(), p=st.sampled_from((2, 3, 4, 5)))
     @settings(max_examples=120, deadline=None)
     def test_fold_matches_normalized_raw(self, g, p):
-        # p=2 is the radix-1 case: every packed key is 0
+        # at p=2 the one basic digit is 0, so every packed key is 0
         assert flow_polynomial_normal_form(g, p) == normalize(
             flow_polynomial_raw(g, p), p
         )
@@ -290,6 +297,31 @@ class TestPackedNormalForms:
             assert (f1 == f2) == (f1.poly == f2.poly)
             if f1 == f2:
                 assert hash(f1) == hash(f2)
+
+
+class TestConformalFormIsTheTableScaled:
+    @given(g=small_multigraphs(), group=st.sampled_from((2, 3, 4, 5, "Klein")))
+    @settings(max_examples=200, deadline=None)
+    def test_the_two_decoders_agree(self, g, group):
+        # the table decodes its keys by lookup, the form through .poly: at
+        # psi's basic monomial the form holds q^kappa c(psi) and nothing else
+        if group == "Klein":
+            g, q = g.underlying(), 4
+            table = four_flow_coefficient_table(g)
+            form, fold = conformal_pair_normal_form(g), four_flow_polynomial_normal_form(g)
+            monomial = lambda psi: {
+                v: 1 for e, (a, b) in zip(table.ids, psi) for v, bit in ((xvar(e), a), (yvar(e), b)) if bit
+            }
+        else:
+            q = group
+            table = coefficient_table(g, q)
+            form, fold = conformal_normal_form(g, q), flow_polynomial_normal_form(g, q)
+            monomial = lambda psi: dict(zip(table.ids, psi))
+        poly = form.poly
+        assert len(poly) == len(table)
+        for psi in table:
+            assert poly.coefficient(monomial(psi)) == q ** kappa(g) * table[psi]
+        assert form == fold
 
 
 class TestEvaluation:
