@@ -7,12 +7,15 @@ maximal label p-1. All enumerations are deterministic: free slots are
 ordered by ascending id and assignments run lexicographically.
 
 Internally a map is a tuple of codes 0..q-1 over a finite abelian group,
-a _Group, and ZpMap / KleinMap objects are built only at the public API.
-The group carries its law (a label per code and a table of differences),
-the public value of each code and its name for bound messages, so it is
-the only parameter: one set of generators, tests, tension tables and
-witness searches serves Z_p and the Klein group of fourflow. Every Z_p
-route builds its group through _zp(p), which rejects p < 2.
+a _Group. ZpMap / KleinMap objects exist only at the public edge, built to
+be returned or parsed; a caller's map becomes codes once, through the map
+core _GroupMap the two share, and no map is built to be counted. The
+group carries its law (a label per code and a table of differences), the
+public value of each code and its name for bound messages, so it is the
+only parameter: one set of generators, tests, tension tables, witness
+searches and one per-psi conformal counter serve Z_p and the Klein group
+of fourflow. Every Z_p route builds its group through _zp(p), which
+rejects p < 2.
 
 The generic helpers take the graph itself, a Digraph or an
 UndirectedGraph, and read a code tuple over its sorted record ids. They
@@ -77,8 +80,36 @@ from .errors import (
 from .graphs import Digraph, UndirectedGraph, bridges, cyclomatic_number, kappa
 
 
+class _GroupMap:
+    """What ZpMap and KleinMap share: `values` over record ids, read
+    through the map's `group`."""
+
+    def __getitem__(self, rid: str):
+        return self.values[rid]
+
+    @property
+    def is_nowhere_zero(self) -> bool:
+        zero = self.group.values[0]
+        return all(v != zero for v in self.values.values())
+
+    @property
+    def avoids_max(self) -> bool:  # no record at the top code
+        top = self.group.values[-1]
+        return all(v != top for v in self.values.values())
+
+    def check_domain(self, g):
+        if set(self.values) != set(g.by_id):
+            raise ValueError(f"map domain does not match the graph's {g.kind} set")
+
+    def _codes(self, g) -> tuple[int, ...]:
+        """The code tuple over g.sorted_ids; the domain must be g's."""
+        self.check_domain(g)
+        code = {v: c for c, v in enumerate(self.group.values)}
+        return tuple([code[self.values[i]] for i in g.sorted_ids])
+
+
 @dataclass(frozen=True)
-class ZpMap:
+class ZpMap(_GroupMap):
     """A total assignment of Z_p values to the arcs of some digraph."""
 
     p: int
@@ -92,17 +123,9 @@ class ZpMap:
                 raise ValueError(f"value {v} for {k!r} not in 0..{self.p - 1}")
         object.__setattr__(self, "values", dict(self.values))
 
-    def __getitem__(self, arc_id: str) -> int:
-        return self.values[arc_id]
-
     @property
-    def is_nowhere_zero(self) -> bool:
-        return all(v != 0 for v in self.values.values())
-
-    @property
-    def avoids_max(self) -> bool:
-        """True when no arc carries the maximal label p-1."""
-        return all(v != self.p - 1 for v in self.values.values())
+    def group(self) -> "_Group":
+        return _zp(self.p)
 
     def as_tuple(self, arc_order) -> tuple[int, ...]:
         return tuple(self.values[a] for a in arc_order)
@@ -110,10 +133,6 @@ class ZpMap:
     @classmethod
     def from_tuple(cls, p: int, arc_order, values) -> "ZpMap":
         return cls(p, dict(zip(arc_order, values)))
-
-    def check_domain(self, g: Digraph):
-        if set(self.values) != set(g.arc_by_id):
-            raise ValueError("map domain does not match the graph's arc set")
 
 
 @dataclass(frozen=True)
@@ -171,14 +190,14 @@ def surplus(g: Digraph, phi: ZpMap) -> dict[str, int]:
 
 
 def is_flow(g: Digraph, phi: ZpMap) -> bool:
-    phi.check_domain(g)
-    return _flow_test(g, _zp(phi.p))(phi.as_tuple(g.sorted_arc_ids))
+    """Conservation at every vertex over phi's group: a ZpMap on a Digraph,
+    or a KleinMap on an UndirectedGraph."""
+    return _flow_test(g, phi.group)(phi._codes(g))
 
 
 def is_dual_flow(g: Digraph, phi: ZpMap) -> bool:
-    """Tension test via potential propagation."""
-    phi.check_domain(g)
-    return _potentials(g, _zp(phi.p))[1](phi.as_tuple(g.sorted_arc_ids)) is not None
+    """Tension test via potential propagation, over phi's group."""
+    return _potentials(g, phi.group)[1](phi._codes(g)) is not None
 
 
 def _check_states(count: int, max_states: int | None) -> None:
@@ -233,15 +252,15 @@ def _potentials(g, group: _Group):
     return list(slot), solve
 
 
-def _tensions(g, group: _Group, max_states, ids=None):
-    """Tension code tuples over `ids`, by default g.sorted_ids: the
-    potential at each record's second end minus the one at its first. The
+def _tensions(g, group: _Group, max_states):
+    """Tension code tuples over g.sorted_ids: the potential at each
+    record's second end minus the one at its first. The
     potentials of the sorted non-root vertices run lexicographically, as an
     odometer whose last slot turns fastest; roots are at 0."""
     free = sorted(v for comp in g.bfs[0] for v in comp[1:])
     _check_states(group.q ** len(free), max_states)
     slot = {v: i for i, v in enumerate(free)}
-    ends = [g.by_id[r].ends() for r in (g.sorted_ids if ids is None else ids)]
+    ends = [g.by_id[r].ends() for r in g.sorted_ids]
     pairs = [(slot.get(h, -1), slot.get(t, -1)) for t, h in ends]
     label, diff = group.label, group.diff
     # the potential labels of the free vertices, then a[-1] = 0 for every
@@ -323,8 +342,8 @@ def enumerate_flows(g: Digraph, p: int, max_states: int | None = None) -> list[Z
 def enumerate_dual_flows(g: Digraph, p: int, max_states: int | None = None) -> list[ZpMap]:
     """All p^(|V|-kappa) tensions, via potentials with component roots
     pinned to zero. Deterministic lexicographic order over free vertices."""
-    ids = [a.id for a in g.arcs]
-    return [ZpMap.from_tuple(p, ids, v) for v in _tensions(g, _zp(p), max_states, ids)]
+    ids = g.sorted_arc_ids
+    return [ZpMap.from_tuple(p, ids, v) for v in _tensions(g, _zp(p), max_states)]
 
 
 def parity(phi: ZpMap) -> str:
@@ -368,14 +387,27 @@ def _count_conformal(tuples, psis, top: int) -> list[tuple[int, int]]:
     return [(even, odd) for even, odd in counts]
 
 
-def _dual_count_methods(g: Digraph, p: int, psis, max_states):
-    """The "subset" and "tension" counts of count_conformal_dual_flows for
-    each psi value tuple over g.sorted_arc_ids in psis, with the potential
-    solver built and the tensions enumerated once for all of them."""
-    solve = _potentials(g, _zp(p))[1]
-    test = lambda v: solve(v) is not None
-    subset = [_count_by_subsets(psi, p - 1, test, max_states) for psi in psis]
-    return subset, _count_conformal(_tensions(g, _zp(p), max_states), psis, p - 1)
+def _conformal_counts(
+    g, p: int, psis, dual: bool, method: str, max_states
+) -> list[tuple[int, int]]:
+    """(even, odd) counts of the psi-conformal tensions (dual) or flows of g
+    for each psi code tuple in psis, by the methods of the public counters;
+    the enumeration runs once for all the psis."""
+    group, full = _zp(p), "tension" if dual else "flow"
+    if method == "auto":
+        rank = len(g.vertices) - kappa(g) if dual else cyclomatic_number(g)
+        method = "subset" if 2 ** len(g.sorted_ids) < p**rank else full
+    if method == "subset":
+        if dual:
+            solve = _potentials(g, group)[1]
+            test = lambda v: solve(v) is not None
+        else:
+            test = _flow_test(g, group)
+        return [_count_by_subsets(psi, p - 1, test, max_states) for psi in psis]
+    if method == full:
+        maps = (_tensions if dual else _circulations)(g, group, max_states)
+        return _count_conformal(maps, psis, p - 1)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def count_conformal_dual_flows(
@@ -387,49 +419,27 @@ def count_conformal_dual_flows(
     "tension" filters the full tension enumeration, "auto" picks the
     cheaper. The two must agree; tests quantify over both.
     """
-    _check_psi(g, psi, p)
-    if method == "auto":
-        method = (
-            "subset"
-            if 2 ** len(g.arcs) < p ** (len(g.vertices) - kappa(g))
-            else "tension"
-        )
-    ids = g.sorted_arc_ids
-    if method == "subset":
-        solve = _potentials(g, _zp(p))[1]
-        test = lambda v: solve(v) is not None
-        return ConformalCount(*_count_by_subsets(psi.as_tuple(ids), p - 1, test, max_states))
-    if method == "tension":
-        tensions = _tensions(g, _zp(p), max_states)
-        return ConformalCount(*_count_conformal(tensions, [psi.as_tuple(ids)], p - 1)[0])
-    raise ValueError(f"unknown method {method!r}")
+    psis = [_psi_codes(g, psi, p)]
+    return ConformalCount(*_conformal_counts(g, p, psis, True, method, max_states)[0])
 
 
 def count_conformal_flows(
     g: Digraph, psi: ZpMap, p: int, method: str = "auto", max_states: int | None = None
 ) -> ConformalCount:
-    """Counts of even and odd psi-conformal p-flows (not dual)."""
-    _check_psi(g, psi, p)
-    if method == "auto":
-        method = (
-            "subset" if 2 ** len(g.arcs) < p ** cyclomatic_number(g) else "flow"
-        )
-    ids = g.sorted_arc_ids
-    if method == "subset":
-        test = _flow_test(g, _zp(p))
-        return ConformalCount(*_count_by_subsets(psi.as_tuple(ids), p - 1, test, max_states))
-    if method == "flow":
-        flows = _circulations(g, _zp(p), max_states)
-        return ConformalCount(*_count_conformal(flows, [psi.as_tuple(ids)], p - 1)[0])
-    raise ValueError(f"unknown method {method!r}")
+    """Counts of even and odd psi-conformal p-flows (not dual); method
+    "flow" filters the full flow enumeration."""
+    psis = [_psi_codes(g, psi, p)]
+    return ConformalCount(*_conformal_counts(g, p, psis, False, method, max_states)[0])
 
 
-def _check_psi(g: Digraph, psi: ZpMap, p: int):
+def _psi_codes(g: Digraph, psi: ZpMap, p: int) -> tuple[int, ...]:
+    """psi's code tuple, once psi is checked to be a nowhere-(p-1) map on g."""
     if psi.p != p:
         raise ValueError("psi modulus does not match p")
-    psi.check_domain(g)
+    codes = psi._codes(g)
     if not psi.avoids_max:
         raise ValueError("psi must avoid the maximal label p-1")
+    return codes
 
 
 def _weights(n: int, r: int) -> list[int]:
@@ -612,7 +622,7 @@ def find_nz_flow(g: Digraph, p: int, max_states: int | None = None) -> ZpMap | N
 
 
 def has_nz_flow_brute(g: Digraph, p: int, max_states: int | None = None) -> bool:
-    return find_nz_flow(g, p, max_states) is not None
+    return _nz_flow(g, _zp(p), max_states) is not None
 
 
 def has_nz_flow_conformal(g: Digraph, p: int, max_states: int | None = None) -> bool:
@@ -627,11 +637,11 @@ def coloring_from_dual_flow(g: Digraph, phi: ZpMap) -> dict[str, int]:
 
     Roots get 0 and omega(head) - omega(tail) = phi(e) holds on every arc.
     """
-    phi.check_domain(g)
-    if not phi.is_nowhere_zero:
+    codes = phi._codes(g)
+    if not all(codes):
         raise PreconditionError("the map has a zero arc")
-    vertices, solve = _potentials(g, _zp(phi.p))
-    omega = solve(phi.as_tuple(g.sorted_arc_ids))
+    vertices, solve = _potentials(g, phi.group)
+    omega = solve(codes)
     if omega is None:
         raise PreconditionError("the map is not a dual flow")
     return dict(zip(vertices, omega))

@@ -173,7 +173,12 @@ def parse_zp_map(text: str) -> "ZpMap":
         if "=" not in part:
             raise GraphFormatError(f"bad assignment {part!r}")
         key, val = (s.strip() for s in part.split("=", 1))
-        pairs.append((key, int(val)))
+        try:
+            pairs.append((key, int(val)))
+        except ValueError:
+            raise GraphFormatError(
+                f"bad p {val!r}" if key == "p" else f"bad value {val!r} for {key!r}"
+            ) from None
     values = _unique(pairs)
     if "p" not in values:
         raise GraphFormatError("map text must set p")

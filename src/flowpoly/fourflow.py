@@ -13,9 +13,11 @@ obstruct a flow and force tension value (0, 0).
 This module holds the Klein group, _KLEIN_GROUP on the codes 2a+b of
 KLEIN (adding an element is XOR of codes), its map KleinMap and the pair
 normal form PairQuotientPoly. Every route is a one-line call of the
-group-generic one with _KLEIN_GROUP: the fold of quotient, and the tests,
-enumerations, tension table and witness search of flows. The conformal
-normal form is the tension table itself, scaled by 4^kappa.
+group-generic one: the fold of quotient, and the tests, enumerations,
+tension table and witness search of flows. KleinMap shares the map core of
+flows, so is_flow reads it over its group, and as there it is built only
+at the public edge. The conformal normal form is the tension table itself,
+scaled by 4^kappa.
 
 The pair normal form keys a monomial as the Klein tables key a map: the
 base-4 integer of one code per edge, the edge at position i of
@@ -40,13 +42,14 @@ from .errors import DEFAULT_TERM_BOUND, VerificationError
 from .flows import (
     ConformalTable,
     _Group,
+    _GroupMap,
     _circulations,
-    _flow_test,
     _nz_flow,
-    _potentials,
     _tension_sums,
     _tensions,
     _weights,
+    is_dual_flow,
+    is_flow,
 )
 from .graphs import UndirectedGraph, kappa
 from .polynomials import Poly
@@ -82,10 +85,11 @@ def yvar(edge: str) -> tuple[str, str]:
 
 
 @dataclass(frozen=True)
-class KleinMap:
+class KleinMap(_GroupMap):
     """A total assignment of Klein-group pairs to the edges of a graph."""
 
     values: dict[str, KleinPair]
+    group = _KLEIN_GROUP
 
     def __post_init__(self):
         normalized = {}
@@ -95,21 +99,6 @@ class KleinMap:
                 raise ValueError(f"value {pair!r} for {e!r} is not in Z2 x Z2")
             normalized[e] = pair
         object.__setattr__(self, "values", normalized)
-
-    def __getitem__(self, edge_id: str) -> KleinPair:
-        return self.values[edge_id]
-
-    @property
-    def is_nowhere_zero(self) -> bool:
-        return all(v != (0, 0) for v in self.values.values())
-
-    @property
-    def avoids_max(self) -> bool:
-        return all(v != (1, 1) for v in self.values.values())
-
-    def check_domain(self, g: UndirectedGraph):
-        if set(self.values) != set(g.edge_by_id):
-            raise ValueError("map domain does not match the graph's edge set")
 
 
 class PairQuotientPoly(_PackedForm):
@@ -141,20 +130,13 @@ class PairQuotientPoly(_PackedForm):
         return [None, (yvar(edge), 1), (xvar(edge), 1), None]  # code 2a+b: 2 is x_e
 
 
-def _codes(g: UndirectedGraph, phi: KleinMap) -> list[int]:
-    """phi's codes 2a+b over g.sorted_edge_ids."""
-    phi.check_domain(g)
-    return [KLEIN.index(phi[e]) for e in g.sorted_edge_ids]
-
-
 def _klein_maps(ids, tuples) -> list[KleinMap]:
     return [KleinMap(dict(zip(ids, [KLEIN[c] for c in t]))) for t in tuples]
 
 
 def is_four_flow(g: UndirectedGraph, phi: KleinMap) -> bool:
     """Componentwise mod-2 conservation at every vertex; loops drop out."""
-    codes = _codes(g, phi)
-    return _flow_test(g, _KLEIN_GROUP)(codes)
+    return is_flow(g, phi)
 
 
 def is_dual_four_flow(g: UndirectedGraph, phi: KleinMap) -> bool:
@@ -162,16 +144,14 @@ def is_dual_four_flow(g: UndirectedGraph, phi: KleinMap) -> bool:
 
     No signs are needed because the group is self-inverse; loops must
     carry (0, 0)."""
-    codes = _codes(g, phi)
-    return _potentials(g, _KLEIN_GROUP)[1](codes) is not None
+    return is_dual_flow(g, phi)
 
 
 def enumerate_dual_four_flows(
     g: UndirectedGraph, max_states: int | None = None
 ) -> list[KleinMap]:
     """All 4^(|V|-kappa) Klein tensions via rooted potentials."""
-    ids = [e.id for e in g.edges]
-    return _klein_maps(ids, _tensions(g, _KLEIN_GROUP, max_states, ids))
+    return _klein_maps(g.sorted_edge_ids, _tensions(g, _KLEIN_GROUP, max_states))
 
 
 def enumerate_klein_circulations(

@@ -25,10 +25,10 @@ from .errors import PreconditionError, VerificationError
 from .flows import (
     ZpMap,
     _circulations,
+    _conformal_counts,
     _tensions,
     _zp,
     coloring_from_dual_flow,
-    count_conformal_flows,
     flow_conformal_table,
     is_p_colorable,
 )
@@ -221,12 +221,13 @@ def check_planar_duality(
 
     table = flow_conformal_table(dual, p, max_states)
     if table:
-        # every entry is nonzero, so the least psi is the first imbalance
-        psi = ZpMap.from_tuple(p, dual.sorted_arc_ids, min(table))
-        counts = count_conformal_flows(dual, psi, p, max_states=max_states)
-        witness = dict(psi.values)
-        counts_dict = {"even": counts.even, "odd": counts.odd}
-        dual_route = counts.even != counts.odd
+        # every entry is nonzero, so the least psi is the first imbalance;
+        # Z_p values are their own codes
+        psi = min(table)
+        even, odd = _conformal_counts(dual, p, [psi], False, "auto", max_states)[0]
+        witness = dict(zip(dual.sorted_arc_ids, psi))
+        counts_dict = {"even": even, "odd": odd}
+        dual_route = even != odd
         if not dual_route:
             raise VerificationError(
                 "table reported an imbalance the direct count does not see"

@@ -12,8 +12,10 @@ breadth-first search.
 The Klein polynomial is expanded vertex factor by vertex factor
 (four_flow_polynomial_raw), the reference for the packed fold, and
 klein_eval evaluates it at the +-1 points of the vanishing set term by
-term; the package has no Klein evaluation. count_conformal_dual_four_flows
-counts the conformal tensions of one psi, the reference for the Klein
+term; the package has no Klein evaluation. reduce_pair_reference reduces
+a polynomial in the pair ideal edge by edge with Poly arithmetic; the
+package reduces on packed codes. count_conformal_dual_four_flows counts
+the conformal tensions of one psi, the reference for the Klein
 coefficient table.
 
 product_tensions builds every tension afresh from a product over the
@@ -228,13 +230,31 @@ def count_conformal_dual_four_flows(g, psi: KleinMap, max_states=None) -> tuple[
     return _count_conformal(_tensions(g, _KLEIN_GROUP, max_states), [codes], 3)[0]
 
 
-def product_tensions(g, group, max_states, ids=None):
+def reduce_pair_reference(f: Poly) -> Poly:
+    """f reduced one edge at a time with Poly arithmetic: x_e^2 = y_e^2 = 1,
+    and x_e*y_e = -(x_e + y_e + 1), read off (x_e + 1)(y_e + 1) = 0. Each
+    monomial becomes a product of one reduced factor per edge."""
+    total = Poly.zero()
+    for mono, coeff in f.items():
+        parity: dict[str, list[int]] = {}
+        for (kind, edge), exp in mono:
+            parity.setdefault(edge, [0, 0])[0 if kind == "x" else 1] += exp
+        term = Poly.constant(coeff)
+        for edge, (a, b) in parity.items():
+            x, y = Poly.variable(xvar(edge)), Poly.variable(yvar(edge))
+            factor = {(0, 0): Poly.one(), (1, 0): x, (0, 1): y, (1, 1): -(x + y + Poly.one())}
+            term = term * factor[a % 2, b % 2]
+        total = total + term
+    return total
+
+
+def product_tensions(g, group, max_states):
     """The tension code tuples of flows._tensions, in the same order, each
     computed from scratch over the product of the free potentials."""
     free = sorted(v for comp in g.bfs[0] for v in comp[1:])
     _check_states(group.q ** len(free), max_states)
     slot = {v: i for i, v in enumerate(free)}
-    ends = [g.by_id[r].ends() for r in (g.sorted_ids if ids is None else ids)]
+    ends = [g.by_id[r].ends() for r in g.sorted_ids]
     pairs = [(slot.get(h, -1), slot.get(t, -1)) for t, h in ends]
     diff = group.diff
     # a[-1] = 0 is the label of every root's potential

@@ -12,6 +12,7 @@ from flowpoly import cli
 from flowpoly.cli import main
 from flowpoly.cyclotomic import CyclotomicInt
 from flowpoly.flows import (
+    ZpMap,
     coefficient_table,
     count_conformal_flows,
     find_nz_flow,
@@ -19,6 +20,7 @@ from flowpoly.flows import (
 )
 from flowpoly.formats import load_graph, parse_zp_map
 from flowpoly.fourflow import (
+    KleinMap,
     find_nz_four_flow,
     four_flow_coefficient_table,
     four_flow_polynomial_normal_form,
@@ -350,6 +352,19 @@ class TestErrors:
         code, _, err = run(capsys, "nz-flow", "-p", 1, corpus_dir / "example.g")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [("verify", "-p", 3), ("coeff-table", "-p", 3), ("four-flow",)]
+    )
+    @pytest.mark.parametrize("bound", [-5, 0])
+    def test_bound_below_one_exit_2(self, capsys, corpus_dir, argv, bound):
+        # a bound below 1 can never be met, so it is bad input, not a bound error
+        code, out, err = run(capsys, *argv, "--bound", bound, corpus_dir / "example.g")
+        assert (code, out, err) == (2, "", "error: --bound must be at least 1\n")
+
+    def test_bound_of_one_is_accepted(self, capsys, corpus_dir):
+        code, _, err = run(capsys, "coeff-table", "-p", 3, "--bound", 1, corpus_dir / "example.g")
+        assert code == 3 and "exceed" in err
+
 
 def patch_everywhere(monkeypatch, name, make):
     """Rebind `name`, in every flowpoly module that holds it, to
@@ -377,6 +392,41 @@ def count_calls(monkeypatch, *names, per_group=False):
 
         patch_everywhere(monkeypatch, name, make)
     return calls
+
+
+def count_maps(monkeypatch):
+    """A Counter of the ZpMap and KleinMap objects built while it lives."""
+    built = Counter()
+    for cls in (ZpMap, KleinMap):
+
+        def make(post_init, name=cls.__name__):
+            def counted(self):
+                built[name] += 1
+                post_init(self)
+
+            return counted
+
+        monkeypatch.setattr(cls, "__post_init__", make(cls.__post_init__))
+    return built
+
+
+class TestMapsOnlyAtTheEdge:
+    def test_verify_builds_only_the_coloring_tension(self, capsys, monkeypatch, corpus_dir):
+        # the counts and the planar re-count run on code tuples; the one map
+        # is the nowhere-zero tension handed to coloring_from_dual_flow
+        built = count_maps(monkeypatch)
+        code, out, _ = run(capsys, "verify", "-p", 3, corpus_dir / "example.g")
+        assert code == 0, out
+        assert "enumeration-counts: 9 flows, 3 tensions" in out
+        assert "planar-duality" in out
+        assert built == {"ZpMap": 1}
+
+    def test_planar_check_builds_no_map(self, capsys, monkeypatch, corpus_dir):
+        built = count_maps(monkeypatch)
+        code, out, _ = run(capsys, "planar-check", "-p", 3, corpus_dir / "example.g")
+        assert code == 0
+        assert json.loads(out)["dual_witness_psi"] == {"e1": 0, "e2": 0, "e3": 0}
+        assert not built
 
 
 class TestComputeOnce:
@@ -499,6 +549,18 @@ class TestMapFileErrors:
         command = "conformal" if flag == "--psi" else "color"
         code, out, err = run(capsys, command, "-p", 3, flag, bad, corpus_dir / "example.g")
         assert (code, out, err) == (2, "", f"error: repeated key {key!r} in the map\n")
+
+    @pytest.mark.parametrize("flag", ["--psi", "--from-dual-flow"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [("p=3; e1=x; e2=1; e3=1", "bad value 'x' for 'e1'"), ("p=x; e1=1; e2=1; e3=1", "bad p 'x'")],
+    )
+    def test_non_integer_text_value_exits_2(self, capsys, tmp_path, corpus_dir, flag, doc, message):
+        bad = tmp_path / "bad.map"
+        bad.write_text(doc)
+        command = "conformal" if flag == "--psi" else "color"
+        code, out, err = run(capsys, command, "-p", 3, flag, bad, corpus_dir / "example.g")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("flag", ["--psi", "--from-dual-flow"])
     def test_modulus_mismatch_exits_2(self, capsys, corpus_dir, flag):

@@ -49,7 +49,14 @@ from flowpoly.quotient import (
     flow_polynomial_normal_form,
     has_nz_flow_membership,
 )
-from flowpoly.fourflow import _KLEIN_GROUP
+from flowpoly.fourflow import (
+    KLEIN,
+    _KLEIN_GROUP,
+    KleinMap,
+    enumerate_dual_four_flows,
+    is_dual_four_flow,
+    is_four_flow,
+)
 from flowpoly.graphs import (
     Digraph,
     UndirectedGraph,
@@ -83,6 +90,37 @@ class TestSurplus:
     def test_domain_mismatch(self):
         with pytest.raises(ValueError):
             surplus(example_graph(), ZpMap(3, {"e1": 1}))
+
+
+class TestMapCore:
+    """ZpMap and KleinMap share one core, read through each map's group."""
+
+    def test_domain_messages_name_the_record_kind(self):
+        with pytest.raises(ValueError, match="^map domain does not match the graph's arc set$"):
+            ZpMap(3, {"e1": 1}).check_domain(example_graph())
+        with pytest.raises(ValueError, match="^map domain does not match the graph's edge set$"):
+            KleinMap({"e1": (0, 1)}).check_domain(triangle())
+
+    def test_codes_over_the_sorted_ids(self):
+        d = Digraph.build([("b", "u", "v"), ("a", "v", "u")])
+        assert ZpMap(3, {"b": 2, "a": 1})._codes(d) == (1, 2)
+        u = d.underlying()
+        assert KleinMap({"b": (1, 0), "a": (1, 1)})._codes(u) == (3, 2)
+        with pytest.raises(ValueError, match="edge set"):
+            KleinMap({"a": (0, 0)})._codes(u)
+
+    def test_zero_and_top_values_come_from_the_group(self):
+        assert ZpMap(3, {"e": 1}).is_nowhere_zero and ZpMap(3, {"e": 1}).avoids_max
+        assert not ZpMap(3, {"e": 2}).avoids_max and not ZpMap(3, {"e": 0}).is_nowhere_zero
+        assert KleinMap({"e": (1, 0)}).is_nowhere_zero and KleinMap({"e": (1, 0)}).avoids_max
+        assert not KleinMap({"e": (1, 1)}).avoids_max and not KleinMap({"e": (0, 0)}).is_nowhere_zero
+
+    def test_predicates_read_klein_maps_over_their_group(self):
+        g = triangle()
+        for values in product(KLEIN, repeat=3):
+            phi = KleinMap(dict(zip(g.sorted_edge_ids, values)))
+            assert is_flow(g, phi) == is_four_flow(g, phi)
+            assert is_dual_flow(g, phi) == is_dual_four_flow(g, phi)
 
 
 class TestIsFlow:
@@ -226,27 +264,26 @@ class TestTensionOdometer:
     def test_matches_product_reference(self, name, group, gname):
         d = ODOMETER_GRAPHS[name]
         for g in (d, d.underlying()):
-            stored = [r.id for r in g.records]
-            for ids in (None, stored):
-                got = list(_tensions(g, group, None, ids))
-                assert got == list(product_tensions(g, group, None, ids)), (name, ids)
+            got = list(_tensions(g, group, None))
+            assert got == list(product_tensions(g, group, None)), name
 
     @given(g=small_multigraphs(max_vertices=5, max_edges=6))
     @settings(max_examples=80, deadline=None)
     def test_matches_product_reference_on_multigraphs(self, g):
         for group, _ in GROUPS:
-            stored = [a.id for a in g.arcs]
-            for ids in (None, stored):
-                assert list(_tensions(g, group, None, ids)) == list(
-                    product_tensions(g, group, None, ids)
-                )
+            assert list(_tensions(g, group, None)) == list(product_tensions(g, group, None))
 
-    def test_enumerate_dual_flows_keeps_the_stored_order(self):
+    def test_enumerate_dual_flows_matches_the_product_reference(self):
         d = default_orientation(complete(4))
-        stored = [a.id for a in d.arcs]
+        ids = d.sorted_arc_ids
         maps = enumerate_dual_flows(d, 3)
-        expect = product_tensions(d, _zp(3), None, stored)
-        assert [m.as_tuple(stored) for m in maps] == list(expect)
+        assert [m.as_tuple(ids) for m in maps] == list(product_tensions(d, _zp(3), None))
+
+    def test_enumerated_maps_insert_their_ids_in_sorted_order(self):
+        d = Digraph.build([("b", "u", "v"), ("a", "v", "w"), ("c", "w", "u")])
+        assert all(list(m.values) == ["a", "b", "c"] for m in enumerate_dual_flows(d, 3))
+        u = d.underlying()
+        assert all(list(m.values) == ["a", "b", "c"] for m in enumerate_dual_four_flows(u))
 
     def test_state_bound_fires_on_the_first_step(self):
         with pytest.raises(BoundExceeded, match="^27 states exceed the bound 26$"):
@@ -356,6 +393,27 @@ class TestCountConformalDualFlows:
                     a = count_conformal_dual_flows(d, psi, p, method="subset")
                     b = count_conformal_dual_flows(d, psi, p, method="tension")
                     assert a == b
+
+
+class TestUnknownCountMethod:
+    # the two counters share one method dispatch; each names only its own
+    # enumeration, so the other's is unknown to it
+    @pytest.mark.parametrize(
+        "count, method",
+        [
+            (count_conformal_dual_flows, "flow"),
+            (count_conformal_dual_flows, "bogus"),
+            (count_conformal_flows, "tension"),
+            (count_conformal_flows, "bogus"),
+        ],
+    )
+    def test_message(self, count, method):
+        with pytest.raises(ValueError, match=f"^unknown method '{method}'$"):
+            count(example_graph(), zp(3, 0, 0, 0), 3, method=method)
+
+    def test_psi_is_checked_before_the_method(self):
+        with pytest.raises(ValueError, match="^psi must avoid the maximal label p-1$"):
+            count_conformal_flows(example_graph(), zp(3, 2, 0, 0), 3, method="bogus")
 
 
 class TestCountConformalFlows:

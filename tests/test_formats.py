@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -100,6 +101,20 @@ class TestZpMapText:
     def test_requires_p(self):
         with pytest.raises(GraphFormatError):
             parse_zp_map("e1=1")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p=3; e1=x; e2=1; e3=1", "bad value 'x' for 'e1'"),
+            ("p=3; e1=1.5", "bad value '1.5' for 'e1'"),
+            ("p=3; e1=", "bad value '' for 'e1'"),
+            ("p=three; e1=1", "bad p 'three'"),
+        ],
+    )
+    def test_non_integer_value(self, text, message):
+        # the wording of the JSON branch
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+            parse_zp_map(text)
 
 
 class TestKleinJson:

@@ -16,7 +16,8 @@ from families import (
     small_multigraphs,
     triangle,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import (
     count_conformal_dual_four_flows,
     eval_points_of,
@@ -24,6 +25,7 @@ from oracles import (
     is_conformal4,
     klein_eval,
     parity4,
+    reduce_pair_reference,
 )
 
 from flowpoly.errors import BoundExceeded
@@ -48,6 +50,9 @@ from flowpoly.fourflow import (
 from flowpoly.graphs import UndirectedGraph, cyclomatic_number, kappa
 from flowpoly.polynomials import Poly
 from flowpoly.quotient import has_nz_flow_membership
+
+
+EDGES = ("a", "b", "c")
 
 
 def km(g, *pairs):
@@ -137,6 +142,27 @@ class TestNormalizePair:
         assert normalize_pair(x * x - 1).is_zero
         assert normalize_pair(y * y - 1).is_zero
         assert normalize_pair((x + 1) * (y + 1)).is_zero
+
+    @given(terms=st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.sampled_from("xy"), st.sampled_from(EDGES), st.integers(1, 3)), max_size=4),
+            st.integers(-3, 3),
+        ),
+        max_size=6,
+    ))
+    @settings(max_examples=200, deadline=None)
+    @example(terms=[([("x", "a", 1)], 1)])
+    @example(terms=[([("x", "a", 1), ("y", "b", 3)], 2), ([("y", "a", 1)], -1)])
+    def test_asymmetric_polynomials_match_the_per_edge_reduction(self, terms):
+        # drawn polynomials are rarely symmetric in x_e and y_e, so the
+        # decoded form fixes which of x_e, y_e each basic code stands for
+        f = Poly.zero()
+        for factors, coeff in terms:
+            mono = Poly.constant(coeff)
+            for kind, edge, exp in factors:
+                mono = mono * Poly.variable((xvar if kind == "x" else yvar)(edge), exp)
+            f = f + mono
+        assert normalize_pair(f, EDGES).poly == reduce_pair_reference(f)
 
 
 class TestFourFlowPolynomial:
