@@ -48,20 +48,20 @@ swept. Sweeping a bridge of those records lowers the rank by one, any
 other arc leaves it as it is, so _sweep_order takes every bridge of the
 unswept records first (the frontier idea of Sekine, Imai and Tani, ISAAC
 1995, applied to elimination). On a graph with a bridge the first step
-already cancels every entry. flow_conformal_table sweeps its flows in the
-order of positions.
+already cancels every entry. Flow and tension tables sweep in this order.
 
-A ConformalTable holds the keys of a table: its length, its values and the
-rows the writers of formats print are read off them packed, and a lookup
-by value tuple decodes them once.
-
-The normal forms of quotient and fourflow key monomials in this layout
-too, so a tension table scaled by q^kappa is a conformal normal form.
-Packed keys of both tables and normal forms convert a few digits at a time:
-_chunk_tables splits the digit positions into runs and tabulates a value
-per run for every digit pattern, and _convert adds up one looked-up value
-per run for each key. _text_batches joins text fragments that way, a batch
-of keys at a time, for the writers.
+A table and a normal form are one packed object, _Packed: the sorted ids,
+q and the packed dict, with the length, the decoding and the text batches
+the writers of formats print. The normal form is q^kappa times the sum of
+c(psi) over the basic monomials of psi, each keyed as psi is, so a tension
+table scaled by q^kappa is a conformal normal form; ConformalTable and the
+normal forms of quotient and fourflow all derive from _Packed. A
+ConformalTable reads its length, values and rows packed, and a lookup by
+value tuple decodes the keys once. Packed keys convert a few digits at a
+time: _chunk_tables splits the digit positions into runs and tabulates a
+value per run for every digit pattern, and _convert adds up one looked-up
+value per run for each key; text_batches joins text fragments that way, a
+batch of keys at a time.
 """
 
 from __future__ import annotations
@@ -484,19 +484,6 @@ def _convert(keys, tables):
         yield from out
 
 
-def _text_batches(packed: dict[int, int], r: int, frags, descending=False, rekey=None):
-    """(coefficients, texts) per batch of the keys of packed in key order.
-    A key's text joins frags[i][d] over its radix-r digits d, position i
-    the most significant, after the chunk tables `rekey` convert it."""
-    cell = lambda start, digits: "".join([frags[start + j][d] for j, d in enumerate(digits)])
-    tables = _chunk_tables(len(frags), r, cell, len(packed))
-    keys = sorted(packed, reverse=descending)
-    for i in range(0, len(keys), _CHUNK):
-        batch = keys[i : i + _CHUNK]
-        coeffs = [packed[k] for k in batch]
-        yield coeffs, _convert(_convert(batch, rekey) if rekey else batch, tables)
-
-
 def _sweep_order(g):
     """The positions of g.sorted_ids in the order the sweep of
     _conformal_sums takes them: every bridge of the records not yet swept,
@@ -515,13 +502,14 @@ def _sweep_order(g):
             yield left.pop(0)
 
 
-def _conformal_sums(tuples, q: int, n: int, max_work: int | None, order) -> dict[int, int]:
-    """The packed table c(psi) of the code tuples of length n: each map
-    adds (-1)^|hot| at every psi agreeing with it off its top codes. The
-    top code is swept out at the positions 0..n-1 in the order of `order`,
-    which is first read once every map is counted."""
+def _conformal_sums(g, tuples, q: int, max_work: int | None) -> dict[int, int]:
+    """The packed table c(psi) of the code tuples over g.sorted_ids: each
+    map adds (-1)^|hot| at every psi agreeing with it off its top codes.
+    The top code is then swept out in the order of _sweep_order(g), which
+    is first read once every map is counted."""
     bound = DEFAULT_TERM_BOUND if max_work is None else max_work
     top = q - 1
+    n = len(g.sorted_ids)
     weights = _weights(n, q)
     box = [top**h for h in range(n + 1)]
     acc: dict[int, int] = {}
@@ -532,7 +520,7 @@ def _conformal_sums(tuples, q: int, n: int, max_work: int | None, order) -> dict
             raise BoundExceeded(f"conformal aggregation exceeds {bound} steps")
         key = sum(map(mul, values, weights))
         acc[key] = acc.get(key, 0) + 1
-    for i in order:
+    for i in _sweep_order(g):
         w = weights[i]
         hot = [(key - top * w, c) for key, c in acc.items() if c and key // w % q == top]
         # a fresh dict, rather than deleting in place, leaves no dead slots
@@ -543,26 +531,54 @@ def _conformal_sums(tuples, q: int, n: int, max_work: int | None, order) -> dict
     return {key: c for key, c in acc.items() if c}
 
 
-def _decode(acc: dict[int, int], q: int, n: int, values) -> dict[tuple, int]:
-    """Packed keys back to tuples of values[digit]."""
-    cell = lambda start, digits: tuple([values[d] for d in digits])
-    return dict(zip(_convert(acc, _chunk_tables(n, q, cell, len(acc))), acc.values()))
+class _Packed:
+    """Packed key -> value over the sorted ids `_ids`: the base-`_q`
+    integer of one code per id at the weights of _weights, so key order is
+    the lexicographic order of the code tuples. A conformal table and a
+    normal form are this object; see the module doc."""
+
+    def __init__(self, ids: tuple[str, ...], q: int, packed: dict[int, int]):
+        self._ids, self._q, self._packed = ids, q, packed
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def _decode(self, values) -> dict[tuple, int]:
+        """The keys back to tuples of values[code]."""
+        cell = lambda start, digits: tuple([values[d] for d in digits])
+        tables = _chunk_tables(len(self._ids), self._q, cell, len(self._packed))
+        return dict(zip(_convert(self._packed, tables), self._packed.values()))
+
+    def text_batches(self, frag, descending: bool = False):
+        """(coefficients, texts) per batch of keys in key order, read off
+        the packed keys: a text joins frag(id, code) over every id."""
+        frags = [[frag(i, k) for k in range(self._q)] for i in self._ids]
+        cell = lambda start, digits: "".join([frags[start + j][d] for j, d in enumerate(digits)])
+        tables = _chunk_tables(len(frags), self._q, cell, len(self._packed))
+        keys = sorted(self._packed, reverse=descending)
+        for i in range(0, len(keys), _CHUNK):
+            batch = keys[i : i + _CHUNK]
+            yield [self._packed[k] for k in batch], _convert(batch, tables)
 
 
-class ConformalTable(Mapping):
+class ConformalTable(_Packed, Mapping):
     """c(psi) for every psi with a nonzero value, keyed by psi's value tuple
-    over `ids`: a read-only mapping on the packed base-q keys of
-    _conformal_sums, code k standing for code_values[k]. Lookups decode the
-    keys once; len, values() and the writers of formats read them packed."""
+    over `ids`: a read-only mapping on the packed keys of _conformal_sums,
+    code k standing for code_values[k]. Lookups decode the keys once; len,
+    values() and the writers of formats read them packed."""
 
     def __init__(self, ids: tuple[str, ...], code_values: tuple, packed: dict[int, int]):
-        self.ids, self.code_values, self._packed = ids, code_values, packed
+        super().__init__(ids, len(code_values), packed)
+        self.code_values = code_values
         self._decoded = None
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        return self._ids
 
     def _table(self) -> dict[tuple, int]:
         if self._decoded is None:
-            q, n = len(self.code_values), len(self.ids)
-            self._decoded = _decode(self._packed, q, n, self.code_values)
+            self._decoded = self._decode(self.code_values)
         return self._decoded
 
     def __getitem__(self, psi: tuple) -> int:
@@ -571,17 +587,8 @@ class ConformalTable(Mapping):
     def __iter__(self):
         return iter(self._table())
 
-    def __len__(self) -> int:
-        return len(self._packed)
-
     def values(self):
         return self._packed.values()
-
-    def text_batches(self, frag):
-        """(coefficients, texts) per batch of psi in ascending order, read
-        off the packed keys: a text joins frag(id, code) over every id."""
-        frags = [[frag(i, k) for k in range(len(self.code_values))] for i in self.ids]
-        return _text_batches(self._packed, len(self.code_values), frags)
 
     def __repr__(self) -> str:
         return f"ConformalTable({self._table()!r})"
@@ -589,8 +596,7 @@ class ConformalTable(Mapping):
 
 def _tension_sums(g, group: _Group, max_states) -> dict[int, int]:
     """The packed conformal table of the tensions of g over the group."""
-    tensions = _tensions(g, group, max_states)
-    return _conformal_sums(tensions, group.q, len(g.sorted_ids), max_states, _sweep_order(g))
+    return _conformal_sums(g, _tensions(g, group, max_states), group.q, max_states)
 
 
 def coefficient_table(g: Digraph, p: int, max_states: int | None = None) -> ConformalTable:
@@ -609,8 +615,8 @@ def flow_conformal_table(
 ) -> ConformalTable:
     """Like coefficient_table but aggregated over flows instead of
     tensions; used by the plane-duality report."""
-    group, n = _zp(p), len(g.arcs)
-    acc = _conformal_sums(_circulations(g, group, max_states), p, n, max_states, range(n))
+    group = _zp(p)
+    acc = _conformal_sums(g, _circulations(g, group, max_states), p, max_states)
     return ConformalTable(g.sorted_arc_ids, group.values, acc)
 
 

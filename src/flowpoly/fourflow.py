@@ -43,11 +43,11 @@ from .flows import (
     ConformalTable,
     _Group,
     _GroupMap,
+    _Packed,
     _circulations,
     _nz_flow,
     _tension_sums,
     _tensions,
-    _weights,
     is_dual_flow,
     is_flow,
 )
@@ -107,20 +107,18 @@ class PairQuotientPoly(_PackedForm):
     _fields = ("edges",)
 
     def __init__(self, edges: tuple[str, ...], poly: Poly):
-        weight = dict(zip(edges, _weights(len(edges), 4)))
-        packed = {}
-        for mono, c in poly.items():
+        universe = set(edges)
+        for mono, _ in poly.items():
             for (_, edge), exp in mono:
-                if edge not in weight:
+                if edge not in universe:
                     raise ValueError(f"variable for {edge!r} outside the universe")
                 if exp != 1:
                     raise ValueError(f"exponent {exp} not reduced")
-            codes = _pair_codes(mono)
-            for edge, code in codes.items():
+            for edge, code in _pair_codes(mono).items():
                 if code == 3:
                     raise ValueError(f"edge {edge!r} carries the (1,1) pair")
-            packed[sum(code * weight[e] for e, code in codes.items())] = c
-        super().__init__(edges, 4, packed)
+        form = normalize_pair(poly, edges, max_terms=len(poly))
+        _Packed.__init__(self, form._ids, 4, form._packed)
 
     @property
     def edges(self) -> tuple[str, ...]:
@@ -194,10 +192,9 @@ def normalize_pair(
     """The pair-basis representative of f: the top code 3 of (1,1) expands
     to -(1 + y_e + x_e)."""
     bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
-    if edges is None:
-        edges = tuple(sorted({v[1] for v in f.variables()}))
+    edges = tuple(sorted({v[1] for v in f.variables()} if edges is None else edges))
     terms = ((_pair_codes(mono), c) for mono, c in f.items())
-    return PairQuotientPoly._of(tuple(edges), 4, _reduce_digits(terms, edges, 4, bound))
+    return PairQuotientPoly._of(edges, 4, _reduce_digits(terms, edges, 4, bound))
 
 
 def four_flow_polynomial_normal_form(

@@ -27,14 +27,17 @@ theirs are nonzero. The rest go in greedy frontier order (Sekine, Imai and
 Tani, ISAAC 1995): next, the vertex leaving the fewest arcs with exactly
 one end folded, then the one of most arcs, then the least id.
 
-A normal form holds only its packed keys, however it is built: the fold,
-the conformal route and `normalize` hand theirs over, and the constructor
-packs the Poly it is given. `is_zero`, `==` and `text_batches`, which the
-writers of formats print from, read the keys; `.poly` decodes them on each
-use with flows._decode, as a table's are. The conformal route is the table
-scaled: conformal_normal_form holds the keys of the tension table as they
-are, times p^kappa, and conformal_pair_normal_form of fourflow those of the
-Klein table, times 4^kappa.
+A normal form is a flows._Packed, as a conformal table is: it holds only
+its packed keys, over the sorted ids whatever id tuple its caller passes,
+however it is built. The fold, the conformal route and `normalize` hand
+theirs over; the constructor checks the Poly it is given and takes its
+keys from `normalize`, so _reduce_digits is the one place a Poly becomes
+keys. `is_zero`, `==` and `text_batches`, which the writers of formats
+print from, read the keys; `.poly` decodes them on each use, as a table's
+are. The conformal route is the table scaled: conformal_normal_form holds
+the keys of the tension table as they are, times p^kappa, and
+conformal_pair_normal_form of fourflow those of the Klein table, times
+4^kappa.
 
 Evaluation at the vanishing-set point x_e = rho^k_e goes through one
 evaluator per digraph and p, which reads a code tuple over sorted_arc_ids:
@@ -52,48 +55,32 @@ from functools import lru_cache
 
 from .cyclotomic import CyclotomicInt
 from .errors import BoundExceeded, DEFAULT_TERM_BOUND, PreconditionError
-from .flows import (
-    ZpMap,
-    _Group,
-    _chunk_tables,
-    _decode,
-    _tension_sums,
-    _text_batches,
-    _weights,
-    _zp,
-    is_flow,
-)
+from .flows import ZpMap, _Group, _Packed, _tension_sums, _weights, _zp, is_flow
 from .graphs import Digraph, kappa
 from .polynomials import Poly
 
 
-class _PackedForm:
-    """The members the normal forms of both groups share. A form holds
-    packed key -> coefficient over the ids `_ids`, the base-`_q` integer of
-    one group code per id at the weights of `_weights`, as the tables of
-    flows key theirs; the top code q-1 never occurs. Subclasses name their
+class _PackedForm(_Packed):
+    """The members the normal forms of both groups share, on the packed
+    keys of flows._Packed, as a table keys its psi. Subclasses name their
     public `_fields` and give `_factors(id)`, the (var, exp) pair of each
     code of the id, None for code 0."""
 
     _fields: tuple[str, ...]
 
-    def __init__(self, ids: tuple[str, ...], q: int, packed: dict[int, int]):
-        self._ids, self._q, self._packed = ids, q, packed
-
     @classmethod
     def _of(cls, ids: tuple[str, ...], q: int, packed: dict[int, int]):
         """A form of this class holding these keys, with no Poly to check."""
         form = cls.__new__(cls)
-        _PackedForm.__init__(form, ids, q, packed)
+        _Packed.__init__(form, ids, q, packed)
         return form
 
     @property
     def poly(self) -> Poly:
         factors = [self._factors(i) for i in self._ids]
-        decoded = _decode(self._packed, self._q, len(self._ids), range(self._q))
         return Poly({
             tuple(sorted([f[d] for f, d in zip(factors, codes) if d])): c
-            for codes, c in decoded.items()
+            for codes, c in self._decode(range(self._q)).items()
         })
 
     @property
@@ -105,19 +92,8 @@ class _PackedForm:
         return self._of(self._ids, self._q, packed)
 
     def text_batches(self, frag, descending: bool = False):
-        """(coefficients, texts) per batch of terms in key order, that is
-        lexicographic exponent order over `_ids`. A text joins frag(id, d)
-        over the nonzero codes d in sorted-id order, so keys over unsorted
-        ids are first re-keyed with the weights of the sorted positions."""
-        ids, q, n = self._ids, self._q, len(self._ids)
-        by_id = sorted(range(n), key=ids.__getitem__)
-        frags = [[""] + [frag(ids[i], d) for d in range(1, q)] for i in by_id]
-        rekey = None
-        if by_id != list(range(n)):
-            weight = dict(zip(by_id, _weights(n, q)))
-            cell = lambda start, digits: sum(d * weight[start + j] for j, d in enumerate(digits))
-            rekey = _chunk_tables(n, q, cell, len(self._packed))
-        return _text_batches(self._packed, q, frags, descending, rekey)
+        """As flows._Packed's, but a term names only its nonzero codes."""
+        return super().text_batches(lambda i, d: frag(i, d) if d else "", descending)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -129,7 +105,7 @@ class _PackedForm:
         return self.poly == other.poly
 
     def __hash__(self):
-        # the coefficients alone: forms over other id tuples can be equal
+        # the coefficients alone: forms over other id sets can be equal
         return hash((self._q, frozenset(self._packed.values())))
 
     def __repr__(self) -> str:
@@ -143,18 +119,15 @@ class QuotientPoly(_PackedForm):
     _fields = ("p", "arcs")
 
     def __init__(self, p: int, arcs: tuple[str, ...], poly: Poly):
-        weight = dict(zip(arcs, _weights(len(arcs), p)))
-        packed = {}
-        for mono, c in poly.items():
-            key = 0
+        universe = set(arcs)
+        for mono, _ in poly.items():
             for var, exp in mono:
-                if var not in weight:
+                if var not in universe:
                     raise ValueError(f"variable {var!r} outside the arc universe")
                 if not 0 < exp <= p - 2:
                     raise ValueError(f"exponent {exp} of {var!r} not in 1..{p - 2}")
-                key += exp * weight[var]
-            packed[key] = c
-        super().__init__(arcs, p, packed)
+        form = normalize(poly, p, arcs, max_terms=len(poly))
+        _Packed.__init__(self, form._ids, p, form._packed)
 
     @property
     def p(self) -> int:
@@ -215,10 +188,9 @@ def normalize(
     if p < 2:
         raise ValueError("p must be >= 2")
     bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
-    if arcs is None:
-        arcs = tuple(sorted(f.variables()))
+    arcs = tuple(sorted(f.variables() if arcs is None else arcs))
     terms = (({v: e % p for v, e in mono if e % p}, c) for mono, c in f.items())
-    return QuotientPoly._of(tuple(arcs), p, _reduce_digits(terms, arcs, p, bound))
+    return QuotientPoly._of(arcs, p, _reduce_digits(terms, arcs, p, bound))
 
 
 def is_in_ideal(f: Poly, p: int, max_terms: int | None = None) -> bool:

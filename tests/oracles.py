@@ -1,7 +1,7 @@
 """Slow, obviously-correct references that the package is tested against.
 
 The serialisers print a normal form from its decoded Poly, sorting terms by
-dense exponent vector over the form's id tuple, and a coefficient table from
+dense exponent vector over the form's ids, which are sorted, and a coefficient table from
 its decoded items; they build the whole payload and print it with the
 standard encoder (dump_json). The package streams both straight from the
 packed keys through its own writer. parity4 and is_conformal4 test Klein maps one by one;

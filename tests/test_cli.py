@@ -587,9 +587,8 @@ class TestOutputPathStaysPacked:
         def refuse(*args, **kwargs):
             raise AssertionError("a payload was built on the output path")
 
-        # .poly calls the _decode that quotient imports, tables the one of flows
-        monkeypatch.setattr("flowpoly.quotient._decode", refuse)
-        monkeypatch.setattr("flowpoly.flows._decode", refuse)
+        # forms (through .poly) and tables decode on their one packed base
+        monkeypatch.setattr("flowpoly.flows._Packed._decode", refuse)
         monkeypatch.setattr("flowpoly.formats.json.dumps", refuse)
         for name in ("quotient_poly_to_json", "pair_poly_to_json", "table_entries", "dump_json"):
             monkeypatch.setattr(oracles, name, refuse)

@@ -24,8 +24,8 @@ from flowpoly.errors import BoundExceeded
 from flowpoly.flows import (
     ConformalCount,
     ZpMap,
-    _conformal_sums,
     _sweep_order,
+    _tension_sums,
     _tensions,
     _zp,
     coefficient_table,
@@ -294,16 +294,24 @@ class TestSweepOrder:
     @given(d=small_multigraphs(max_vertices=5, max_edges=6), p=st.integers(2, 4), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_any_order_gives_the_same_table(self, d, p, data):
-        for g, group in ((d, _zp(p)), (d.underlying(), _zp(p)), (d.underlying(), _KLEIN_GROUP)):
+        # the tension tables of both groups and the flow table, swept in
+        # their own order, in the order of positions and in a random one
+        u = d.underlying()
+        tables = (
+            (d, lambda: _tension_sums(d, _zp(p), None)),
+            (u, lambda: _tension_sums(u, _zp(p), None)),
+            (u, lambda: _tension_sums(u, _KLEIN_GROUP, None)),
+            (d, lambda: flow_conformal_table(d, p)._packed),
+        )
+        for g, table in tables:
             n = len(g.records)
             order = list(_sweep_order(g))
             assert sorted(order) == list(range(n))
-            shuffled = data.draw(st.permutations(range(n)))
-            tables = [
-                _conformal_sums(_tensions(g, group, None), group.q, n, None, o)
-                for o in (order, range(n), shuffled)
-            ]
-            assert tables[0] == tables[1] == tables[2]
+            expected = table()
+            for other in (range(n), data.draw(st.permutations(range(n)))):
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(flows, "_sweep_order", lambda g, other=other: iter(other))
+                    assert table() == expected
             cut = bridges(g)
             if cut:
                 assert g.sorted_ids[order[0]] in cut

@@ -282,6 +282,12 @@ class TestQuotientPolyChecks:
         with pytest.raises(ValueError, match=rf"exponent {exp} of 'a' not in 1\.\.1"):
             QuotientPoly(3, ("a",), Poly({(("a", exp),): 1}))
 
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_p_below_two(self, p):
+        # the constructor keys its Poly through normalize, which holds the check
+        with pytest.raises(ValueError, match=r"^p must be >= 2$"):
+            QuotientPoly(p, ("a",), Poly.one())
+
 
 class TestPackedNormalForms:
     @given(g=small_multigraphs(), h=small_multigraphs(), p=st.sampled_from((2, 3, 4, 5)))
