@@ -9,13 +9,15 @@ ordered by ascending id and assignments run lexicographically.
 Internally a map is a tuple of codes 0..q-1 over a finite abelian group,
 a _Group. ZpMap / KleinMap objects exist only at the public edge, built to
 be returned or parsed; a caller's map becomes codes once, through the map
-core _GroupMap the two share, and no map is built to be counted. The
-group carries its law (a label per code and a table of differences), the
-public value of each code and its name for bound messages, so it is the
-only parameter: one set of generators, tests, tension tables, witness
-searches and one per-psi conformal counter serve Z_p and the Klein group
-of fourflow. Every Z_p route builds its group through _zp(p), which
-rejects p < 2.
+core _GroupMap the two share, and no map is built to be counted. Maps are
+lazy: a map holds its ids and its code tuple, and builds its dict of
+values only when a caller reads it, so a list of enumerated maps costs
+one small object per tuple until then. The group carries its law (a
+label per code and a table of differences), the public value of each
+code and its name for bound messages, so it is the only parameter: one
+set of generators, tests, tension tables, witness searches and one
+per-psi conformal counter serve Z_p and the Klein group of fourflow.
+Every Z_p route builds its group through _zp(p), which rejects p < 2.
 
 The generic helpers take the graph itself, a Digraph or an
 UndirectedGraph, and read a code tuple over its sorted record ids. They
@@ -35,10 +37,11 @@ q^(n-1-i), the first arc the most significant digit, so that integer key
 order is the lexicographic order of the value tuples; the maps are counted
 into one dict. The top code q-1 is then swept out one arc at a time: each
 key whose digit there is q-1 moves, negated, to the q-1 keys with digits
-0..q-2 there, and the dict is rebuilt without zero entries after each arc.
-What is left is c(psi) at the key of psi. The work bound still counts
-(q-1)^|hot| per map, the size of its box of conformal psi, and is checked
-while counting, before any sweep.
+0..q-2 there. Each arc takes one pass over the dict: the nonzero entries
+with another digit there go into a fresh dict, and the hot ones into a
+list that is then spread out. What is left is c(psi) at the key of psi.
+The work bound still counts (q-1)^|hot| per map, the size of its box of
+conformal psi, and is checked while counting, before any sweep.
 
 The sweep steps commute, so the arcs may be taken in any order, and the
 keys keep their weights whatever the order. The order sets the cost: once
@@ -67,7 +70,7 @@ batch of keys at a time.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import islice, product
 from operator import add, eq, mul
 
@@ -81,51 +84,117 @@ from .graphs import Digraph, UndirectedGraph, bridges, cyclomatic_number, kappa
 
 
 class _GroupMap:
-    """What ZpMap and KleinMap share: `values` over record ids, read
-    through the map's `group`."""
+    """What ZpMap and KleinMap share: a frozen map from record ids to the
+    values of the map's `group`, of order _q. A map holds its ids and the
+    code tuple over them, and builds `values`, keyed in id order, on its
+    first read, as group.values[code] per id. The checked constructors of
+    the subclasses build `values` from what a caller passes; _map_of
+    builds a map from codes that are group codes by construction, and
+    checks nothing. A map is never hashed, as its dict never was."""
+
+    __slots__ = ("_q", "_ids", "_code", "_values")
+    __hash__ = None
+
+    def _hold(self, q: int, values: dict, codes) -> None:
+        """Bind a map that a subclass constructor checked to its own dict."""
+        _set_q(self, q)
+        _set_ids(self, tuple(values))
+        _set_code(self, tuple(codes))
+        _set_values(self, values)
+
+    @property
+    def values(self) -> dict:
+        try:
+            return self._values
+        except AttributeError:
+            label = self.group.values
+            values = {i: label[c] for i, c in zip(self._ids, self._code)}
+            _set_values(self, values)
+            return values
 
     def __getitem__(self, rid: str):
         return self.values[rid]
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._q != other._q:
+            return False
+        if self._ids == other._ids:
+            return self._code == other._code
+        return self.values == other.values
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle, which would set the slots
+        return _map_of, (type(self), self._q, self._ids, self._code)
+
     @property
     def is_nowhere_zero(self) -> bool:
-        zero = self.group.values[0]
-        return all(v != zero for v in self.values.values())
+        return all(self._code)
 
     @property
     def avoids_max(self) -> bool:  # no record at the top code
-        top = self.group.values[-1]
-        return all(v != top for v in self.values.values())
+        return self._q - 1 not in self._code
 
     def check_domain(self, g):
-        if set(self.values) != set(g.by_id):
+        if set(self._ids) != set(g.by_id):
             raise ValueError(f"map domain does not match the graph's {g.kind} set")
 
     def _codes(self, g) -> tuple[int, ...]:
         """The code tuple over g.sorted_ids; the domain must be g's."""
+        if self._ids == g.sorted_ids:
+            return self._code
         self.check_domain(g)
-        code = {v: c for c, v in enumerate(self.group.values)}
-        return tuple([code[self.values[i]] for i in g.sorted_ids])
+        code = dict(zip(self._ids, self._code))
+        return tuple([code[i] for i in g.sorted_ids])
 
 
-@dataclass(frozen=True)
+# the slot setters: __setattr__ refuses every assignment
+_set_q, _set_ids, _set_code, _set_values = (
+    _GroupMap.__dict__[name].__set__ for name in _GroupMap.__slots__
+)
+
+
+def _map_of(cls, q: int, ids: tuple[str, ...], codes: tuple[int, ...]):
+    """The trusted constructor: the map of class cls of a code tuple over
+    ids whose codes are those of a group of order q by construction.
+    Nothing is checked, and `values` waits for its first read."""
+    m = object.__new__(cls)
+    _set_q(m, q)
+    _set_ids(m, ids)
+    _set_code(m, codes)
+    return m
+
+
 class ZpMap(_GroupMap):
     """A total assignment of Z_p values to the arcs of some digraph."""
 
-    p: int
-    values: dict[str, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 2:
+    def __init__(self, p: int, values: dict[str, int]):
+        if p < 2:
             raise ValueError("p must be >= 2")
-        for k, v in self.values.items():
-            if not 0 <= v < self.p:
-                raise ValueError(f"value {v} for {k!r} not in 0..{self.p - 1}")
-        object.__setattr__(self, "values", dict(self.values))
+        for k, v in values.items():
+            if not 0 <= v < p:
+                raise ValueError(f"value {v} for {k!r} not in 0..{p - 1}")
+        values = dict(values)
+        self._hold(p, values, values.values())
+
+    @property
+    def p(self) -> int:
+        return self._q
 
     @property
     def group(self) -> "_Group":
-        return _zp(self.p)
+        return _zp(self._q)
+
+    def __repr__(self) -> str:
+        return f"ZpMap(p={self._q!r}, values={self.values!r})"
 
     def as_tuple(self, arc_order) -> tuple[int, ...]:
         return tuple(self.values[a] for a in arc_order)
@@ -336,14 +405,14 @@ def enumerate_flows(g: Digraph, p: int, max_states: int | None = None) -> list[Z
     """All p^(|E|-|V|+kappa) flows: free values on non-forest arcs, forest
     arcs solved bottom-up. Deterministic lexicographic order."""
     ids = g.sorted_arc_ids
-    return [ZpMap.from_tuple(p, ids, v) for v in _circulations(g, _zp(p), max_states)]
+    return [_map_of(ZpMap, p, ids, v) for v in _circulations(g, _zp(p), max_states)]
 
 
 def enumerate_dual_flows(g: Digraph, p: int, max_states: int | None = None) -> list[ZpMap]:
     """All p^(|V|-kappa) tensions, via potentials with component roots
     pinned to zero. Deterministic lexicographic order over free vertices."""
     ids = g.sorted_arc_ids
-    return [ZpMap.from_tuple(p, ids, v) for v in _tensions(g, _zp(p), max_states)]
+    return [_map_of(ZpMap, p, ids, v) for v in _tensions(g, _zp(p), max_states)]
 
 
 def parity(phi: ZpMap) -> str:
@@ -522,9 +591,14 @@ def _conformal_sums(g, tuples, q: int, max_work: int | None) -> dict[int, int]:
         acc[key] = acc.get(key, 0) + 1
     for i in _sweep_order(g):
         w = weights[i]
-        hot = [(key - top * w, c) for key, c in acc.items() if c and key // w % q == top]
-        # a fresh dict, rather than deleting in place, leaves no dead slots
-        acc = {key: c for key, c in acc.items() if c and key // w % q != top}
+        hot = []
+        push = hot.append  # returns None, so a hot entry stays out of acc
+        # one pass into a fresh dict: deleting the hot keys in place would
+        # keep the dict at its largest size through the sweep
+        acc = {
+            key: c for key, c in acc.items()
+            if c and (key // w % q != top or push((key - top * w, c)))
+        }
         for key, c in hot:
             for k in range(key, key + top * w, w):
                 acc[k] = acc.get(k, 0) - c
@@ -624,7 +698,7 @@ def find_nz_flow(g: Digraph, p: int, max_states: int | None = None) -> ZpMap | N
     """Brute-force witness search: the first nowhere-zero flow in the order
     of enumerate_flows."""
     values = _nz_flow(g, _zp(p), max_states)
-    return None if values is None else ZpMap.from_tuple(p, g.sorted_arc_ids, values)
+    return None if values is None else _map_of(ZpMap, p, g.sorted_arc_ids, values)
 
 
 def has_nz_flow_brute(g: Digraph, p: int, max_states: int | None = None) -> bool:

@@ -36,8 +36,6 @@ evaluation at the +-1 points of the vanishing set are test references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DEFAULT_TERM_BOUND, VerificationError
 from .flows import (
     ConformalTable,
@@ -45,6 +43,7 @@ from .flows import (
     _GroupMap,
     _Packed,
     _circulations,
+    _map_of,
     _nz_flow,
     _tension_sums,
     _tensions,
@@ -84,21 +83,23 @@ def yvar(edge: str) -> tuple[str, str]:
     return ("y", edge)
 
 
-@dataclass(frozen=True)
 class KleinMap(_GroupMap):
     """A total assignment of Klein-group pairs to the edges of a graph."""
 
-    values: dict[str, KleinPair]
+    __slots__ = ()
     group = _KLEIN_GROUP
 
-    def __post_init__(self):
+    def __init__(self, values: dict[str, KleinPair]):
         normalized = {}
-        for e, pair in self.values.items():
+        for e, pair in values.items():
             pair = tuple(pair)
             if pair not in KLEIN:
                 raise ValueError(f"value {pair!r} for {e!r} is not in Z2 x Z2")
             normalized[e] = pair
-        object.__setattr__(self, "values", normalized)
+        self._hold(4, normalized, [KLEIN.index(pair) for pair in normalized.values()])
+
+    def __repr__(self) -> str:
+        return f"KleinMap(values={self.values!r})"
 
 
 class PairQuotientPoly(_PackedForm):
@@ -129,7 +130,7 @@ class PairQuotientPoly(_PackedForm):
 
 
 def _klein_maps(ids, tuples) -> list[KleinMap]:
-    return [KleinMap(dict(zip(ids, [KLEIN[c] for c in t]))) for t in tuples]
+    return [_map_of(KleinMap, 4, ids, t) for t in tuples]
 
 
 def is_four_flow(g: UndirectedGraph, phi: KleinMap) -> bool:

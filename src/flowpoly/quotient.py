@@ -119,6 +119,8 @@ class QuotientPoly(_PackedForm):
     _fields = ("p", "arcs")
 
     def __init__(self, p: int, arcs: tuple[str, ...], poly: Poly):
+        if p < 2:  # before the exponents, whose range 1..p-2 is then empty
+            raise ValueError("p must be >= 2")
         universe = set(arcs)
         for mono, _ in poly.items():
             for var, exp in mono:

@@ -26,6 +26,7 @@ from .flows import (
     ZpMap,
     _circulations,
     _conformal_counts,
+    _map_of,
     _tensions,
     _zp,
     coloring_from_dual_flow,
@@ -274,7 +275,7 @@ def check_coloring_correspondence(
     flowing = values is not None
     coloring = None
     if flowing:
-        coloring = coloring_from_dual_flow(d, ZpMap.from_tuple(p, d.sorted_arc_ids, values))
+        coloring = coloring_from_dual_flow(d, _map_of(ZpMap, p, d.sorted_arc_ids, values))
         for e in g.edges:
             if not e.is_loop and coloring[e.u] == coloring[e.v]:
                 raise VerificationError(

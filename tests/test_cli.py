@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -395,18 +396,28 @@ def count_calls(monkeypatch, *names, per_group=False):
 
 
 def count_maps(monkeypatch):
-    """A Counter of the ZpMap and KleinMap objects built while it lives."""
+    """A Counter of the ZpMap and KleinMap objects built while it lives,
+    through the checked constructors and through the trusted _map_of."""
     built = Counter()
     for cls in (ZpMap, KleinMap):
 
-        def make(post_init, name=cls.__name__):
-            def counted(self):
+        def make(init, name=cls.__name__):
+            def counted(self, *args, **kwargs):
                 built[name] += 1
-                post_init(self)
+                init(self, *args, **kwargs)
 
             return counted
 
-        monkeypatch.setattr(cls, "__post_init__", make(cls.__post_init__))
+        monkeypatch.setattr(cls, "__init__", make(cls.__init__))
+
+    def trusted(fn):
+        def counted(cls, *args):
+            built[cls.__name__] += 1
+            return fn(cls, *args)
+
+        return counted
+
+    patch_everywhere(monkeypatch, "_map_of", trusted)
     return built
 
 
@@ -685,4 +696,23 @@ class TestOutputAgainstOracles:
         path = corpus_dir / f"{name}.g"
         code, out, err = run(capsys, *argv, path)
         assert code == 0, err
-        assert out == _reference_output(argv, path)
+        assert_same_text(out, _reference_output(argv, path))
+
+
+def assert_same_text(out: str, ref: str) -> None:
+    """out == ref exactly. A mismatch reports the lengths, the SHA-256
+    digests and the first differing line, not a diff of two long texts."""
+    if out == ref:
+        return
+    lines, ref_lines = out.splitlines(keepends=True), ref.splitlines(keepends=True)
+    at = next(
+        (i for i, (a, b) in enumerate(zip(lines, ref_lines)) if a != b),
+        min(len(lines), len(ref_lines)),
+    )
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    pytest.fail(
+        f"output differs from the reference at line {at + 1}: "
+        f"{lines[at:at + 1]!r} != {ref_lines[at:at + 1]!r}; "
+        f"lengths {len(out)} and {len(ref)}, sha256 {digest(out)} and {digest(ref)}",
+        pytrace=False,
+    )

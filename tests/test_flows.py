@@ -1,3 +1,6 @@
+import copy
+import gc
+import pickle
 import random
 from itertools import product
 
@@ -24,6 +27,7 @@ from flowpoly.errors import BoundExceeded
 from flowpoly.flows import (
     ConformalCount,
     ZpMap,
+    _circulations,
     _sweep_order,
     _tension_sums,
     _tensions,
@@ -54,6 +58,8 @@ from flowpoly.fourflow import (
     _KLEIN_GROUP,
     KleinMap,
     enumerate_dual_four_flows,
+    enumerate_klein_circulations,
+    find_nz_four_flow,
     is_dual_four_flow,
     is_four_flow,
 )
@@ -114,6 +120,59 @@ class TestMapCore:
         assert not ZpMap(3, {"e": 2}).avoids_max and not ZpMap(3, {"e": 0}).is_nowhere_zero
         assert KleinMap({"e": (1, 0)}).is_nowhere_zero and KleinMap({"e": (1, 0)}).avoids_max
         assert not KleinMap({"e": (1, 1)}).avoids_max and not KleinMap({"e": (0, 0)}).is_nowhere_zero
+
+    @given(d=small_multigraphs(), group=st.sampled_from([2, 3, 4, 5, "Klein"]))
+    @settings(max_examples=80, deadline=None)
+    def test_enumerated_maps_match_the_checked_constructor(self, d, group):
+        # the maps the enumerations and witness searches build from code
+        # tuples, against the checked constructor on the decoded values
+        if group == "Klein":
+            g, grp = d.underlying(), _KLEIN_GROUP
+            maps = enumerate_dual_four_flows(g) + enumerate_klein_circulations(g)
+            witness = find_nz_four_flow(g)
+            check = KleinMap
+        else:
+            g, grp = d, _zp(group)
+            maps = enumerate_dual_flows(g, group) + enumerate_flows(g, group)
+            witness = find_nz_flow(g, group)
+            check = lambda values: ZpMap(group, values)
+        ids, circulations = g.sorted_ids, list(_circulations(g, grp, None))
+        tuples = list(_tensions(g, grp, None)) + circulations
+        assert len(maps) == len(tuples)
+        pairs = list(zip(maps, tuples))
+        nz = next((t for t in circulations if all(t)), None)
+        assert (witness is None) == (nz is None)
+        if witness is not None:
+            pairs.append((witness, nz))
+        for m, t in pairs:
+            checked = check(dict(zip(ids, [grp.values[c] for c in t])))
+            assert m == checked and checked == m
+            assert repr(m) == repr(checked)
+            assert list(m.values) == list(checked.values) == list(ids)
+            if group != "Klein":
+                assert m.as_tuple(ids) == checked.as_tuple(ids) == t
+            # the same map, keyed in another order, is still equal
+            assert m == check(dict(reversed(list(checked.values.items()))))
+            with pytest.raises(TypeError):
+                hash(m)
+            for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+                assert twin == m and repr(twin) == repr(m)
+            with pytest.raises(AttributeError):
+                m.values = {}
+            with pytest.raises(AttributeError):
+                m._code = t
+        for (m, t), (m2, t2) in zip(pairs, pairs[1:]):
+            assert (m == m2) == (t == t2)
+
+    def test_counting_builds_no_values_dict(self):
+        # a map built from a code tuple holds that tuple until its values
+        # are read, so taking the length of the list builds no dict
+        maps = enumerate_dual_flows(example_graph(), 3)
+        assert len(maps) == 3
+        holds_dict = lambda m: any(isinstance(r, dict) for r in gc.get_referents(m))
+        assert not any(holds_dict(m) for m in maps)
+        assert maps[1].values == {"e1": 1, "e2": 2, "e3": 1}
+        assert holds_dict(maps[1])
 
     def test_predicates_read_klein_maps_over_their_group(self):
         g = triangle()

@@ -284,9 +284,11 @@ class TestQuotientPolyChecks:
 
     @pytest.mark.parametrize("p", [0, 1])
     def test_p_below_two(self, p):
-        # the constructor keys its Poly through normalize, which holds the check
-        with pytest.raises(ValueError, match=r"^p must be >= 2$"):
-            QuotientPoly(p, ("a",), Poly.one())
+        # p is checked first: with p < 2 no exponent is in range, so an
+        # exponent check run first would name the wrong fault
+        for poly in (Poly.one(), Poly.variable("a")):
+            with pytest.raises(ValueError, match=r"^p must be >= 2$"):
+                QuotientPoly(p, ("a",), poly)
 
 
 class TestPackedNormalForms:
