@@ -62,6 +62,7 @@ from .fourflow import (
     four_flow_polynomial_normal_form,
     conformal_pair_normal_form,
     find_nz_four_flow,
+    has_nz_four_flow,
     _three_way_answer,
 )
 from .graphs import cyclomatic_number, kappa
@@ -170,9 +171,14 @@ def cmd_coeff_table(args) -> int:
 def cmd_four_flow(args) -> int:
     g = load_graph(args.file).as_undirected()
     nf = four_flow_polynomial_normal_form(g, max_terms=args.bound)
-    table = four_flow_coefficient_table(g, max_states=args.bound)
+    # the table is built only to be printed; else the decider answers
+    if args.table:
+        table = four_flow_coefficient_table(g, max_states=args.bound)
+        by_conformal = bool(table)
+    else:
+        by_conformal = has_nz_four_flow(g, "conformal", max_states=args.bound)
     witness = find_nz_four_flow(g, max_states=args.bound)
-    answer = _three_way_answer(not nf.is_zero, bool(table), witness is not None)
+    answer = _three_way_answer(not nf.is_zero, by_conformal, witness is not None)
     if args.json:
         payload = {"normal_form": pair_poly_to_json(nf), "nz_four_flow": answer}
         if witness is not None:

@@ -53,6 +53,24 @@ unswept records first (the frontier idea of Sekine, Imai and Tani, ISAAC
 1995, applied to elimination). On a graph with a bridge the first step
 already cancels every entry. Flow and tension tables sweep in this order.
 
+The conformal deciders need only whether some c(psi) is nonzero, so they
+read a certificate off the counted keys before any sweep. Position e has
+weights a_e(d) mod the prime P = 2^61-1: output q*e+d+1 of splitmix64
+for the codes d below the top, and a_e(q-1) = -(a_e(0) + ... + a_e(q-2)),
+so that each a_e sums to 0. The certificate S is the sum over the
+counted keys of the count times prod_e a_e(digit_e), one _chunk_tables
+cell (the product of a run's weights) per run of a key. A map phi with
+the hot set H gives prod_{e not in H} a_e(phi_e) times
+prod_{e in H} -(a_e(0) + ... + a_e(q-2)), which is (-1)^|H| times the sum
+of prod_e a_e(psi_e) over its box, so S = sum_psi c(psi) * prod_e
+a_e(psi_e) mod P: the sweep's own identity read through a product
+functional. S != 0 proves that some c(psi) is nonzero,
+and the decider answers yes. S = 0 proves nothing, since nonzero c(psi)
+may cancel mod P, so the counts are then swept as for a table and the
+answer is never a guess. A graph with a bridge has every c(psi) zero: its
+certificate is not read, and the sweep cancels every entry at its first
+step.
+
 A table and a normal form are one packed object, _Packed: the sorted ids,
 q and the packed dict, with the length, the decoding and the text batches
 the writers of formats print. The normal form is q^kappa times the sum of
@@ -63,8 +81,8 @@ ConformalTable reads its length, values and rows packed, and a lookup by
 value tuple decodes the keys once. Packed keys convert a few digits at a
 time: _chunk_tables splits the digit positions into runs and tabulates a
 value per run for every digit pattern, and _convert adds up one looked-up
-value per run for each key; text_batches joins text fragments that way, a
-batch of keys at a time.
+value per run for each key (the certificate multiplies them); text_batches
+joins text fragments that way, a batch of keys at a time.
 """
 
 from __future__ import annotations
@@ -160,6 +178,12 @@ _set_q, _set_ids, _set_code, _set_values = (
 )
 
 
+def _is_int(v) -> bool:
+    """Whether v is an int and not a bool, the only values a checked map
+    constructor takes."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _map_of(cls, q: int, ids: tuple[str, ...], codes: tuple[int, ...]):
     """The trusted constructor: the map of class cls of a code tuple over
     ids whose codes are those of a group of order q by construction.
@@ -180,8 +204,8 @@ class ZpMap(_GroupMap):
         if p < 2:
             raise ValueError("p must be >= 2")
         for k, v in values.items():
-            if not 0 <= v < p:
-                raise ValueError(f"value {v} for {k!r} not in 0..{p - 1}")
+            if not (_is_int(v) and 0 <= v < p):
+                raise ValueError(f"value {v!r} for {k!r} not in 0..{p - 1}")
         values = dict(values)
         self._hold(p, values, values.values())
 
@@ -541,15 +565,15 @@ def _chunk_tables(n: int, r: int, cell, count: int) -> list[tuple[int, int, list
     return tables or [(1, 1, [cell(0, ())])]
 
 
-def _convert(keys, tables):
-    """For each key, in order, its cells of _chunk_tables added up with +,
+def _convert(keys, tables, op=add):
+    """For each key, in order, its cells of _chunk_tables combined with op,
     converted _CHUNK keys at a time."""
     (w, m, cells), *rest = tables
     keys = iter(keys)
     while batch := list(islice(keys, _CHUNK)):
         out = [cells[k // w % m] for k in batch]
         for w2, m2, cells2 in rest:
-            out = list(map(add, out, [cells2[k // w2 % m2] for k in batch]))
+            out = list(map(op, out, [cells2[k // w2 % m2] for k in batch]))
         yield from out
 
 
@@ -571,11 +595,10 @@ def _sweep_order(g):
             yield left.pop(0)
 
 
-def _conformal_sums(g, tuples, q: int, max_work: int | None) -> dict[int, int]:
-    """The packed table c(psi) of the code tuples over g.sorted_ids: each
-    map adds (-1)^|hot| at every psi agreeing with it off its top codes.
-    The top code is then swept out in the order of _sweep_order(g), which
-    is first read once every map is counted."""
+def _packed_counts(g, tuples, q: int, max_work: int | None) -> dict[int, int]:
+    """The first step of _conformal_sums: the code tuples over g.sorted_ids
+    counted by packed key. The work bound counts the box of each map,
+    (q-1)^|hot| conformal psi, and is checked for every map."""
     bound = DEFAULT_TERM_BOUND if max_work is None else max_work
     top = q - 1
     n = len(g.sorted_ids)
@@ -589,6 +612,15 @@ def _conformal_sums(g, tuples, q: int, max_work: int | None) -> dict[int, int]:
             raise BoundExceeded(f"conformal aggregation exceeds {bound} steps")
         key = sum(map(mul, values, weights))
         acc[key] = acc.get(key, 0) + 1
+    return acc
+
+
+def _sweep(g, acc: dict[int, int], q: int) -> dict[int, int]:
+    """The second step of _conformal_sums: the top code swept out of the
+    packed counts acc over g.sorted_ids, in the order of _sweep_order(g).
+    acc is read, not changed."""
+    top = q - 1
+    weights = _weights(len(g.sorted_ids), q)
     for i in _sweep_order(g):
         w = weights[i]
         hot = []
@@ -603,6 +635,61 @@ def _conformal_sums(g, tuples, q: int, max_work: int | None) -> dict[int, int]:
             for k in range(key, key + top * w, w):
                 acc[k] = acc.get(k, 0) - c
     return {key: c for key, c in acc.items() if c}
+
+
+def _conformal_sums(g, tuples, q: int, max_work: int | None) -> dict[int, int]:
+    """The packed table c(psi) of the code tuples over g.sorted_ids: each
+    map adds (-1)^|hot| at every psi agreeing with it off its top codes.
+    The maps are counted, then the top code is swept out; the sweep order
+    is first read once every map is counted."""
+    return _sweep(g, _packed_counts(g, tuples, q, max_work), q)
+
+
+_P = 2**61 - 1  # a Mersenne prime, the modulus of the certificate
+_MASK = 2**64 - 1
+
+
+def _certificate_weights(n: int, q: int) -> list[list[int]]:
+    """Per position e of n, the weights a_e(0..q-1) mod _P: below the top
+    code, a_e(d) is output k+1 of splitmix64 from seed 0 (Steele, Lea and
+    Flood, OOPSLA 2014) for k = q*e + d, and a_e(q-1) is minus their sum,
+    so every row sums to 0."""
+    rows = []
+    for e in range(n):
+        row = []
+        for k in range(q * e, q * e + q - 1):
+            z = (k + 1) * 0x9E3779B97F4A7C15 & _MASK
+            z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK
+            z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK
+            row.append((z ^ z >> 31) % _P)
+        rows.append(row + [-sum(row) % _P])
+    return rows
+
+
+def _certificate(acc: dict[int, int], n: int, q: int) -> int:
+    """S = sum over the packed counts acc of n-digit base-q keys of
+    count * prod_e a_e(digit_e), mod _P; see the module doc."""
+    rows = _certificate_weights(n, q)
+
+    def cell(start, digits):
+        x = 1
+        for row, d in zip(rows[start:], digits):
+            x = x * row[d] % _P
+        return x
+
+    cells = _convert(acc, _chunk_tables(n, q, cell, len(acc)), mul)
+    return sum(map(mul, cells, acc.values())) % _P
+
+
+def _has_conformal_entry(g, group: _Group, max_states) -> bool:
+    """Whether the tension table of g over the group has a nonzero entry:
+    yes on a nonzero certificate, else the answer of the sweep. A graph
+    with a bridge has no nonzero entry, so its certificate is not read."""
+    q = group.q
+    acc = _packed_counts(g, _tensions(g, group, max_states), q, max_states)
+    if not bridges(g) and _certificate(acc, len(g.sorted_ids), q):
+        return True
+    return bool(_sweep(g, acc, q))
 
 
 class _Packed:
@@ -707,9 +794,10 @@ def has_nz_flow_brute(g: Digraph, p: int, max_states: int | None = None) -> bool
 
 def has_nz_flow_conformal(g: Digraph, p: int, max_states: int | None = None) -> bool:
     """Existence via conformal parity: some psi must have an even/odd
-    imbalance among its conformal tensions. Decided on the packed table
-    without decoding it."""
-    return bool(_tension_sums(g, _zp(p), max_states))
+    imbalance among its conformal tensions. Decided on the packed counts of
+    the tensions: by the certificate when it is nonzero, else by the sweep;
+    no table is decoded."""
+    return _has_conformal_entry(g, _zp(p), max_states)
 
 
 def coloring_from_dual_flow(g: Digraph, phi: ZpMap) -> dict[str, int]:

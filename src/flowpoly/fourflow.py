@@ -43,6 +43,8 @@ from .flows import (
     _GroupMap,
     _Packed,
     _circulations,
+    _has_conformal_entry,
+    _is_int,
     _map_of,
     _nz_flow,
     _tension_sums,
@@ -92,8 +94,8 @@ class KleinMap(_GroupMap):
     def __init__(self, values: dict[str, KleinPair]):
         normalized = {}
         for e, pair in values.items():
-            pair = tuple(pair)
-            if pair not in KLEIN:
+            pair = tuple(pair) if isinstance(pair, (tuple, list)) else pair
+            if not (pair in KLEIN and all(map(_is_int, pair))):
                 raise ValueError(f"value {pair!r} for {e!r} is not in Z2 x Z2")
             normalized[e] = pair
         self._hold(4, normalized, [KLEIN.index(pair) for pair in normalized.values()])
@@ -234,13 +236,15 @@ def has_nz_four_flow(
     """Nowhere-zero four-flow existence.
 
     Methods: "membership" (normal form nonzero), "conformal" (some psi
-    with unequal even/odd conformal tension counts), "brute" (search the
-    circulation space). "all" runs the three and raises if they disagree.
+    with unequal even/odd conformal tension counts, decided on the packed
+    tension counts by the certificate of flows, or by the sweep when it
+    reads zero; no table is built), "brute" (search the circulation
+    space). "all" runs the three and raises if they disagree.
     """
     if method == "membership":
         return bool(_fold(g, _KLEIN_GROUP, max_terms))
     if method == "conformal":
-        return bool(_tension_sums(g, _KLEIN_GROUP, max_states))
+        return _has_conformal_entry(g, _KLEIN_GROUP, max_states)
     if method == "brute":
         return find_nz_four_flow(g, max_states) is not None
     if method == "all":

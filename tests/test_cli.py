@@ -461,6 +461,13 @@ class TestComputeOnce:
         assert code == 0
         assert calls == dict.fromkeys(self.KLEIN, 1)
 
+    def test_four_flow_without_table_builds_no_table(self, capsys, monkeypatch, corpus_dir):
+        # the conformal answer comes from the Klein decider
+        calls = count_calls(monkeypatch, *self.KLEIN)
+        code, _, _ = run(capsys, "four-flow", corpus_dir / "k4.g")
+        assert code == 0
+        assert calls == {"_fold": 1, "find_nz_four_flow": 1}
+
     @pytest.mark.parametrize(
         "argv", [("verify", "-p", "4"), ("four-flow",), ("four-flow", "--table")]
     )

@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import random
+import re
 from itertools import product
 
 import pytest
@@ -24,10 +25,16 @@ from families import (
 from oracles import is_dual_flow_by_circuits, product_tensions
 from flowpoly import flows
 from flowpoly.errors import BoundExceeded
+from flowpoly.formats import load_graph
 from flowpoly.flows import (
+    _P,
     ConformalCount,
     ZpMap,
+    _certificate,
+    _certificate_weights,
     _circulations,
+    _packed_counts,
+    _sweep,
     _sweep_order,
     _tension_sums,
     _tensions,
@@ -40,6 +47,7 @@ from flowpoly.flows import (
     enumerate_flows,
     find_nz_flow,
     flow_conformal_table,
+    has_nz_flow_brute,
     has_nz_flow_conformal,
     is_conformal,
     is_dual_flow,
@@ -60,6 +68,7 @@ from flowpoly.fourflow import (
     enumerate_dual_four_flows,
     enumerate_klein_circulations,
     find_nz_four_flow,
+    has_nz_four_flow,
     is_dual_four_flow,
     is_four_flow,
 )
@@ -180,6 +189,25 @@ class TestMapCore:
             phi = KleinMap(dict(zip(g.sorted_edge_ids, values)))
             assert is_flow(g, phi) == is_four_flow(g, phi)
             assert is_dual_flow(g, phi) == is_dual_four_flow(g, phi)
+
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, False, "1", None])
+    def test_zp_map_takes_only_ints(self, value):
+        # a float in range used to build a map that is_flow could not read
+        message = f"^value {re.escape(repr(value))} for 'e1' not in 0..2$"
+        with pytest.raises(ValueError, match=message):
+            ZpMap(3, {"e1": value, "e2": 1})
+
+    @pytest.mark.parametrize("value", [(1.0, 0), (0, 1.0), (True, False), 3, "01", (1, 0, 0), None])
+    def test_klein_map_takes_only_pairs_of_ints(self, value):
+        with pytest.raises(ValueError, match=r"^value .* for 'e' is not in Z2 x Z2$"):
+            KleinMap({"e": value})
+
+    def test_klein_map_takes_a_list_as_a_pair(self):
+        # the JSON map parser reads pairs as lists
+        m = KleinMap({"e": [1, 0]})
+        assert m == KleinMap({"e": (1, 0)})
+        assert repr(m) == "KleinMap(values={'e': (1, 0)})"
 
 
 class TestIsFlow:
@@ -583,6 +611,86 @@ class TestCoefficientTable:
         d = default_orientation(complete(4))
         with pytest.raises(BoundExceeded, match="^conformal aggregation exceeds 30 steps$"):
             has_nz_flow_conformal(d, 3, max_states=30)
+
+
+class TestConformalCertificate:
+    """The deciders read a certificate off the packed tension counts and
+    sweep them only when it reads 0."""
+
+    @given(d=small_multigraphs(), group=st.sampled_from([2, 3, 4, 5, "Klein"]))
+    @settings(max_examples=150, deadline=None)
+    def test_decider_equals_the_table(self, d, group):
+        if group == "Klein":
+            g, grp = d.underlying(), _KLEIN_GROUP
+            answer = has_nz_four_flow(g, "conformal")
+        else:
+            g, grp = d, _zp(group)
+            answer = has_nz_flow_conformal(g, group)
+        table = _tension_sums(g, grp, None)
+        assert answer == bool(table)
+        acc = _packed_counts(g, _tensions(g, grp, None), grp.q, None)
+        if _certificate(acc, len(g.sorted_ids), grp.q):
+            assert table
+
+    @given(q=st.integers(2, 5), n=st.integers(0, 5), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_certificate_reads_the_table_through_a_product(self, q, n, data):
+        # any packed counts, not only those of tensions: S is the sum of
+        # c(psi) * prod_e a_e(psi_e) over the swept table
+        keys = st.integers(0, q**n - 1)
+        acc = data.draw(st.dictionaries(keys, st.integers(-3, 3).filter(bool), max_size=40))
+        counts = dict(acc)
+        g = Digraph.build([(f"e{i}", "u", "v") for i in range(n)], vertices=["u", "v"])
+        table = _sweep(g, acc, q)
+        assert acc == counts  # the sweep reads the counts and keeps them
+        rows = _certificate_weights(n, q)
+        assert all(sum(row) % _P == 0 for row in rows)
+        expected = 0
+        for key, c in table.items():
+            for e in range(n):
+                c *= rows[e][key // q ** (n - 1 - e) % q]
+            expected += c
+        assert _certificate(acc, n, q) == expected % _P
+
+    def test_a_zero_certificate_leaves_the_answer_to_the_sweep(self, monkeypatch, corpus_dir):
+        monkeypatch.setattr(flows, "_certificate", lambda acc, n, q: 0)
+        for g in all_connected_multigraphs(4):
+            d = default_orientation(g)
+            for p in (2, 3, 4):
+                assert has_nz_flow_conformal(d, p) == has_nz_flow_brute(d, p)
+            assert has_nz_four_flow(g, "conformal") == (find_nz_four_flow(g) is not None)
+        assert not has_nz_flow_conformal(default_orientation(petersen()), 3)
+        w5 = load_graph(corpus_dir / "w5.g")
+        assert has_nz_flow_conformal(w5.as_digraph(), 5)
+        assert has_nz_four_flow(w5.as_undirected(), "conformal")
+
+    def test_a_nonzero_certificate_skips_the_sweep(self, monkeypatch, corpus_dir):
+        # w5 is bridgeless and has nowhere-zero flows
+        def no_sweep(g):
+            raise AssertionError("the sweep order was read")
+
+        monkeypatch.setattr(flows, "_sweep_order", no_sweep)
+        w5 = load_graph(corpus_dir / "w5.g")
+        assert has_nz_flow_conformal(w5.as_digraph(), 5)
+        assert has_nz_four_flow(w5.as_undirected(), "conformal")
+
+    @pytest.mark.parametrize("group, bound", [(5, 5000), ("Klein", 1100)])
+    def test_the_bound_fires_before_any_answer(self, monkeypatch, corpus_dir, group, bound):
+        # the tensions fit the bound, their conformal boxes do not; the
+        # bound is checked over every tension before the bridges are
+        # searched or the certificate is read
+        def unreached(*args):
+            raise AssertionError("an answer was sought")
+
+        monkeypatch.setattr(flows, "bridges", unreached)
+        monkeypatch.setattr(flows, "_certificate", unreached)
+        w5 = load_graph(corpus_dir / "w5.g")
+        message = f"^conformal aggregation exceeds {bound} steps$"
+        with pytest.raises(BoundExceeded, match=message):
+            if group == "Klein":
+                has_nz_four_flow(w5.as_undirected(), "conformal", max_states=bound)
+            else:
+                has_nz_flow_conformal(w5.as_digraph(), group, max_states=bound)
 
 
 class TestColoringFromDualFlow:
