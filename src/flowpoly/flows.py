@@ -26,10 +26,18 @@ forest from the least vertex of each component) and its stars (each
 non-loop record at a vertex with its sign there); see graphs. Potentials
 grow along the forest, circulations solve the forest records from the
 leaves up, and the flow test sums each star, so none of them rebuilds
-incidence data. Tensions run as an odometer over the potentials of the
-free vertices: one list of values is kept, and a step recomputes only the
-records at the vertices whose potential changed, the last vertex, which
-changes at every step, in a loop of its own.
+incidence data. Tensions are built a block at a time. A record's code
+depends only on the potentials at its two ends, so over the k last free
+vertices, q^k <= _BLOCK, each record's column of codes is built once per
+graph by list repetition, and a short odometer over the other (outer)
+free vertices picks the columns of each block; _tension_plan holds them.
+The code tuples are the rows of a block. For the conformal counts the
+same plan holds, per record, w_e*code + q^n*[code == top] (w_e the key
+weight of its position) in place of the code, so that the entries of a
+row sum to the row's packed key plus q^n times its number of top codes,
+its hot channel. The columns that no outer vertex moves are summed once,
+and a block adds the rest; a divmod by q^n then gives each tension's key
+and its box for the work bound.
 
 The conformal table c(psi) is aggregated on packed keys. A map is the
 base-q integer with the code of the arc at position i of n at weight
@@ -51,7 +59,8 @@ swept. Sweeping a bridge of those records lowers the rank by one, any
 other arc leaves it as it is, so _sweep_order takes every bridge of the
 unswept records first (the frontier idea of Sekine, Imai and Tani, ISAAC
 1995, applied to elimination). On a graph with a bridge the first step
-already cancels every entry. Flow and tension tables sweep in this order.
+already cancels every entry, and a sweep stops once no entry is left, so
+it searches for bridges once. Flow and tension tables sweep in this order.
 
 The conformal deciders need only whether some c(psi) is nonzero, so they
 read a certificate off the counted keys before any sweep. Position e has
@@ -87,9 +96,10 @@ joins text fragments that way, a batch of keys at a time.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import islice, product
+from itertools import islice, product, repeat
 from operator import add, eq, mul
 
 from .errors import (
@@ -345,51 +355,123 @@ def _potentials(g, group: _Group):
     return list(slot), solve
 
 
+_BLOCK = 256  # most tensions in a block, built at once by list repetition
+
+
+def _column(q: int, k: int, at: list[int], table) -> list:
+    """table[d_1][d_2]... for every vector of k digits 0..q-1 in
+    lexicographic order, d_i being its digit at position at[i], built by
+    list repetition: the digit at position s holds for q^(k-1-s) rows at
+    a time, and the run of its q values repeats q^s times."""
+    if not at:
+        return [table] * q**k
+    s, run = at[0], []
+    if at[1:]:
+        for sub in table:
+            run += _column(q, k - s - 1, [a - s - 1 for a in at[1:]], sub)
+    else:
+        for x in table:
+            run += [x] * q ** (k - s - 1)
+    return run * q**s
+
+
+def _tension_plan(g, group: _Group, max_states, values):
+    """(m, outer, plan) for the tensions of g in blocks of m = q^k rows.
+    The sorted free vertices split into the `outer` first ones, stepped
+    once per block, and the k last ones, q^k <= _BLOCK, whose potentials
+    run through the rows of a block. plan holds per record (a, b, inner,
+    table): with the outer digits of a block, extended by a last digit 0,
+    as e, the record's entry in the block is table[e[a] * q + e[b]], a
+    column of m rows when the record has an inner end, else one value for
+    every row. The entry of a row is values[i][code] for the record at
+    position i and its code in that row's tension."""
+    q, label, diff = group.q, group.label, group.diff
+    free = sorted(v for comp in g.bfs[0] for v in comp[1:])
+    _check_states(q ** len(free), max_states)
+    k = 0
+    while k < len(free) and q ** (k + 1) <= _BLOCK:
+        k += 1
+    outer = len(free) - k
+    slot = {v: i for i, v in enumerate(free)}
+    plan = []
+    for r, value in zip(g.sorted_ids, values):
+        t, h = g.by_id[r].ends()
+        if h == t:  # a loop carries code 0
+            plan.append((outer, outer, False, [value[0]]))
+            continue
+        sh, st = slot.get(h, -1), slot.get(t, -1)  # -1 for a root
+        lo, hi = sorted((sh, st))
+        # entry[x][y] for the labels x at the end of the lower slot and y
+        # at the other; a root is at digit 0, whose label is 0
+        sign = 1 if sh < st else -1
+        entry = [[value[diff[sign * (x - y)]] for y in label] for x in label]
+        outs = [s for s in (lo, hi) if 0 <= s < outer]
+        ins = [s - outer for s in (lo, hi) if s >= outer]
+        table = []
+        for od in product(range(q), repeat=len(outs)):
+            digit = dict(zip(outs, od))
+            digit[-1] = 0
+            sub = entry
+            for s in (lo, hi):  # the fixed ends come first
+                if s in digit:
+                    sub = sub[digit[s]]
+            table.append(_column(q, k, ins, sub) if ins else sub)
+        a, b = ([outer, outer] + outs)[-2:]
+        plan.append((a, b, bool(ins), table))
+    return q**k, outer, plan
+
+
 def _tensions(g, group: _Group, max_states):
     """Tension code tuples over g.sorted_ids: the potential at each
-    record's second end minus the one at its first. The
-    potentials of the sorted non-root vertices run lexicographically, as an
-    odometer whose last slot turns fastest; roots are at 0."""
-    free = sorted(v for comp in g.bfs[0] for v in comp[1:])
-    _check_states(group.q ** len(free), max_states)
-    slot = {v: i for i, v in enumerate(free)}
-    ends = [g.by_id[r].ends() for r in g.sorted_ids]
-    pairs = [(slot.get(h, -1), slot.get(t, -1)) for t, h in ends]
-    label, diff = group.label, group.diff
-    # the potential labels of the free vertices, then a[-1] = 0 for every
-    # root; all at label 0, every record carries code 0
-    a = [0] * (len(free) + 1)
-    values = [0] * len(pairs)
-    if not free:
-        yield tuple(values)
-        return
-    # per slot, the non-loop records with an end at it
-    touch = [[(i, h, t) for i, (h, t) in enumerate(pairs) if h != t and k in (h, t)]
-             for k in range(len(free))]
-    last = len(free) - 1
-    inner = touch[last]
-    digit = [0] * last
-    top = group.q - 1
-    while True:
-        for x in label:
-            a[last] = x
-            for i, h, t in inner:
-                values[i] = diff[a[h] - a[t]]
-            yield tuple(values)
-        # carry: reset the slots at the top code, then step the next one
-        k = last - 1
-        while k >= 0 and digit[k] == top:
-            digit[k] = a[k] = 0
-            k -= 1
-        if k < 0:
-            return
-        digit[k] += 1
-        a[k] = label[digit[k]]
-        # the stepped slot and the reset ones; the innermost slot is
-        # refreshed by its own loop
-        for j in range(k, last):
-            for i, h, t in touch[j]:
-                values[i] = diff[a[h] - a[t]]
+    record's second end minus the one at its first. The potentials of the
+    sorted non-root vertices run lexicographically, the last one fastest;
+    roots are at 0. A block of _tension_plan at a time, a tuple per row."""
+    q = group.q
+    m, outer, plan = _tension_plan(g, group, max_states, [range(q)] * len(g.sorted_ids))
+    for od in product(range(q), repeat=outer):
+        e = (*od, 0)
+        columns = [
+            t[e[a] * q + e[b]] if inner else repeat(t[e[a] * q + e[b]], m)
+            for a, b, inner, t in plan
+        ]
+        yield from zip(*columns) if columns else repeat((), m)
+
+
+def _tension_blocks(g, group: _Group, max_states):
+    """The tensions of _tensions in its order, a block at a time, each
+    packed for _packed_counts as key + W*hot: its packed key plus W = q^n
+    times the number of its records at the top code, the sum of one entry
+    per record. The records that no outer vertex moves are summed once. A
+    block adds the column of each record with an inner and an outer end,
+    and one value for those with no inner end."""
+    q, n = group.q, len(g.sorted_ids)
+    top = q - 1
+    values = [[w * c for c in range(top)] + [w * top + q**n] for w in _weights(n, q)]
+    m, outer, plan = _tension_plan(g, group, max_states, values)
+    fixed, base, columns, constants = [0] * m, 0, [], []
+    for a, b, inner, t in plan:
+        if b != outer:
+            (columns if inner else constants).append((a, b, t))
+        elif inner:
+            fixed = list(map(add, fixed, t[0]))
+        else:
+            base += t[0]
+    for od in product(range(q), repeat=outer):
+        e = (*od, 0)
+        block = fixed
+        for a, b, t in columns:
+            block = list(map(add, block, t[e[a] * q + e[b]]))
+        c = base + sum([t[e[a] * q + e[b]] for a, b, t in constants])
+        yield [x + c for x in block] if c else block
+
+
+def _packed_blocks(tuples, n: int, q: int):
+    """Code tuples over n positions packed as the blocks of
+    _tension_blocks, up to _BLOCK tuples a block."""
+    weights, unit, top = _weights(n, q), q**n, q - 1
+    tuples = iter(tuples)
+    while batch := list(islice(tuples, _BLOCK)):
+        yield [sum(map(mul, v, weights)) + unit * v.count(top) for v in batch]
 
 
 def _circulations(g, group: _Group, max_states):
@@ -595,30 +677,30 @@ def _sweep_order(g):
             yield left.pop(0)
 
 
-def _packed_counts(g, tuples, q: int, max_work: int | None) -> dict[int, int]:
-    """The first step of _conformal_sums: the code tuples over g.sorted_ids
-    counted by packed key. The work bound counts the box of each map,
-    (q-1)^|hot| conformal psi, and is checked for every map."""
+def _packed_counts(blocks, n: int, q: int, max_work: int | None) -> Counter:
+    """The first step of _conformal_sums: maps over n positions counted by
+    packed key, from blocks of key + q^n * hot values as _tension_blocks
+    and _packed_blocks yield them. The work bound counts the box of each
+    map, (q-1)^|hot| conformal psi, and is checked for every block before
+    the block is counted."""
     bound = DEFAULT_TERM_BOUND if max_work is None else max_work
-    top = q - 1
-    n = len(g.sorted_ids)
-    weights = _weights(n, q)
-    box = [top**h for h in range(n + 1)]
-    acc: dict[int, int] = {}
+    box = [(q - 1) ** h for h in range(n + 1)]
+    unit = q**n
+    acc = Counter()
     work = 0
-    for values in tuples:
-        work += box[values.count(top)]
+    for block in blocks:
+        work += sum([box[x // unit] for x in block])
         if work > bound:
             raise BoundExceeded(f"conformal aggregation exceeds {bound} steps")
-        key = sum(map(mul, values, weights))
-        acc[key] = acc.get(key, 0) + 1
+        acc.update([x % unit for x in block])
     return acc
 
 
 def _sweep(g, acc: dict[int, int], q: int) -> dict[int, int]:
     """The second step of _conformal_sums: the top code swept out of the
-    packed counts acc over g.sorted_ids, in the order of _sweep_order(g).
-    acc is read, not changed."""
+    packed counts acc over g.sorted_ids, in the order of _sweep_order(g),
+    until no entry is left. acc is read, not changed; once the first step
+    has read it, the sweep holds it no longer."""
     top = q - 1
     weights = _weights(len(g.sorted_ids), q)
     for i in _sweep_order(g):
@@ -631,18 +713,20 @@ def _sweep(g, acc: dict[int, int], q: int) -> dict[int, int]:
             key: c for key, c in acc.items()
             if c and (key // w % q != top or push((key - top * w, c)))
         }
+        if not (acc or hot):
+            break  # every entry cancelled: no later position is drawn
         for key, c in hot:
             for k in range(key, key + top * w, w):
                 acc[k] = acc.get(k, 0) - c
     return {key: c for key, c in acc.items() if c}
 
 
-def _conformal_sums(g, tuples, q: int, max_work: int | None) -> dict[int, int]:
-    """The packed table c(psi) of the code tuples over g.sorted_ids: each
-    map adds (-1)^|hot| at every psi agreeing with it off its top codes.
-    The maps are counted, then the top code is swept out; the sweep order
-    is first read once every map is counted."""
-    return _sweep(g, _packed_counts(g, tuples, q, max_work), q)
+def _conformal_sums(g, blocks, q: int, max_work: int | None) -> dict[int, int]:
+    """The packed table c(psi) of the maps over g.sorted_ids in the blocks
+    of _packed_counts: each map adds (-1)^|hot| at every psi agreeing with
+    it off its top codes. The maps are counted, then the top code is swept
+    out; the sweep order is first read once every map is counted."""
+    return _sweep(g, _packed_counts(blocks, len(g.sorted_ids), q, max_work), q)
 
 
 _P = 2**61 - 1  # a Mersenne prime, the modulus of the certificate
@@ -685,11 +769,13 @@ def _has_conformal_entry(g, group: _Group, max_states) -> bool:
     """Whether the tension table of g over the group has a nonzero entry:
     yes on a nonzero certificate, else the answer of the sweep. A graph
     with a bridge has no nonzero entry, so its certificate is not read."""
-    q = group.q
-    acc = _packed_counts(g, _tensions(g, group, max_states), q, max_states)
-    if not bridges(g) and _certificate(acc, len(g.sorted_ids), q):
+    q, n = group.q, len(g.sorted_ids)
+    counts = [_packed_counts(_tension_blocks(g, group, max_states), n, q, max_states)]
+    if not bridges(g) and _certificate(counts[0], n, q):
         return True
-    return bool(_sweep(g, acc, q))
+    # popped, so that the sweep holds the only reference and drops the
+    # counts at its first step
+    return bool(_sweep(g, counts.pop(), q))
 
 
 class _Packed:
@@ -757,7 +843,7 @@ class ConformalTable(_Packed, Mapping):
 
 def _tension_sums(g, group: _Group, max_states) -> dict[int, int]:
     """The packed conformal table of the tensions of g over the group."""
-    return _conformal_sums(g, _tensions(g, group, max_states), group.q, max_states)
+    return _conformal_sums(g, _tension_blocks(g, group, max_states), group.q, max_states)
 
 
 def coefficient_table(g: Digraph, p: int, max_states: int | None = None) -> ConformalTable:
@@ -777,7 +863,8 @@ def flow_conformal_table(
     """Like coefficient_table but aggregated over flows instead of
     tensions; used by the plane-duality report."""
     group = _zp(p)
-    acc = _conformal_sums(g, _circulations(g, group, max_states), p, max_states)
+    blocks = _packed_blocks(_circulations(g, group, max_states), len(g.sorted_ids), p)
+    acc = _conformal_sums(g, blocks, p, max_states)
     return ConformalTable(g.sorted_arc_ids, group.values, acc)
 
 

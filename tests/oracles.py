@@ -19,8 +19,9 @@ the conformal tensions of one psi, the reference for the Klein
 coefficient table.
 
 product_tensions builds every tension afresh from a product over the
-potentials; the package steps an odometer and recomputes only the records
-whose potentials changed. is_dual_flow_by_circuits is the definition of a
+potentials; the package builds each record's column of codes over the
+last free vertices once, by list repetition, and picks the columns of each
+block by the potentials of the others. is_dual_flow_by_circuits is the definition of a
 tension, a zero sum around every circuit; the package grows potentials.
 """
 

@@ -3,6 +3,8 @@ import gc
 import pickle
 import random
 import re
+import weakref
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -36,6 +38,7 @@ from flowpoly.flows import (
     _packed_counts,
     _sweep,
     _sweep_order,
+    _tension_blocks,
     _tension_sums,
     _tensions,
     _zp,
@@ -344,7 +347,9 @@ ODOMETER_GRAPHS = {
 
 
 class TestTensionOdometer:
-    """The odometer yields the product reference's tuples in its order."""
+    """The tensions, a block of list-built columns per step of the odometer
+    over the outer vertices, are the product reference's tuples in its
+    order."""
 
     @pytest.mark.parametrize("name", sorted(ODOMETER_GRAPHS))
     @pytest.mark.parametrize("group,gname", GROUPS, ids=[n for _, n in GROUPS])
@@ -375,6 +380,82 @@ class TestTensionOdometer:
     def test_state_bound_fires_on_the_first_step(self):
         with pytest.raises(BoundExceeded, match="^27 states exceed the bound 26$"):
             next(_tensions(default_orientation(complete(4)), _zp(3), 26))
+
+
+BLOCK_GRAPHS = {
+    "no vertex": Digraph(frozenset(), ()),
+    "isolated vertices only": Digraph(frozenset({"s", "t", "z"}), ()),
+    "loops at a root and at a non-root": Digraph.build(
+        [("l1", "u", "u"), ("a", "u", "v"), ("l2", "v", "v"), ("b", "v", "w")]
+    ),
+    "disconnected": default_orientation(disjoint_union(triangle(), path(3), single_loop())),
+    "parallel arcs": Digraph.build(
+        [("a", "u", "v"), ("b", "v", "u"), ("c", "u", "v"), ("d", "v", "w"), ("e", "w", "v")]
+    ),
+    "k4": default_orientation(complete(4)),
+    "k5": default_orientation(complete(5)),
+}
+
+
+def packed_keys(g, group):
+    """The packed key of each tension of the product reference, in its order."""
+    q, n = group.q, len(g.sorted_ids)
+    return [
+        sum(c * q ** (n - 1 - i) for i, c in enumerate(t))
+        for t in product_tensions(g, group, None)
+    ]
+
+
+class TestTensionBlocks:
+    """Blocks of q^k rows over the last free vertices, for any block size:
+    code tuples in the product reference's order, and packed counts equal
+    to a per-tuple count, in value and in insertion order."""
+
+    @staticmethod
+    def check(g, group):
+        q, n = group.q, len(g.sorted_ids)
+        expected = list(product_tensions(g, group, None))
+        assert list(_tensions(g, group, None)) == expected
+        packed = [x for block in _tension_blocks(g, group, None) for x in block]
+        keys = packed_keys(g, group)
+        assert packed == [k + q**n * t.count(q - 1) for k, t in zip(keys, expected)]
+        acc = _packed_counts(_tension_blocks(g, group, None), n, q, None)
+        assert list(acc.items()) == list(Counter(keys).items())
+
+    @given(d=small_multigraphs(max_vertices=6, max_edges=7), block=st.sampled_from([1, "q", 256]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_a_count_of_the_product_reference(self, d, block):
+        for group, _ in GROUPS:
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(flows, "_BLOCK", group.q if block == "q" else block)
+                for g in (d, d.underlying()):
+                    self.check(g, group)
+
+    @pytest.mark.parametrize("block", [1, "q", 256])
+    @pytest.mark.parametrize("name", sorted(BLOCK_GRAPHS))
+    @pytest.mark.parametrize("group,gname", GROUPS, ids=[n for _, n in GROUPS])
+    def test_named_graphs(self, monkeypatch, name, group, gname, block):
+        # at _BLOCK 1 every free vertex is outer, at q one is inner
+        monkeypatch.setattr(flows, "_BLOCK", group.q if block == "q" else block)
+        self.check(BLOCK_GRAPHS[name], group)
+
+    def test_blocks_split_the_free_vertices(self):
+        # k5 at Z_5: four free vertices, three inner (125 rows), one outer
+        d = BLOCK_GRAPHS["k5"]
+        blocks = list(_tension_blocks(d, _zp(5), None))
+        assert [len(b) for b in blocks] == [125] * 5
+
+    @pytest.mark.parametrize("decide", [False, True])
+    def test_work_bound_is_exact_on_several_blocks(self, corpus_dir, decide):
+        # w4 at Z_5: 625 tensions in blocks of 125; the bound counts the
+        # conformal box of every tension, 4^|hot|
+        w4 = load_graph(corpus_dir / "w4.g").as_digraph()
+        work = sum(4 ** t.count(4) for t in product_tensions(w4, _zp(5), None))
+        run = has_nz_flow_conformal if decide else coefficient_table
+        run(w4, 5, max_states=work)
+        message = f"^conformal aggregation exceeds {work - 1} steps$"
+        with pytest.raises(BoundExceeded, match=message):
+            run(w4, 5, max_states=work - 1)
 
 
 class TestSweepOrder:
@@ -417,6 +498,50 @@ class TestSweepOrder:
         d = default_orientation(complete(4))
         with pytest.raises(BoundExceeded, match="^conformal aggregation exceeds 30 steps$"):
             coefficient_table(d, 3, max_states=30)
+
+    @pytest.mark.parametrize("group", [3, "Klein"])
+    def test_an_empty_table_ends_the_sweep(self, monkeypatch, group):
+        # k4 with a pendant arc: the first step, at the bridge, cancels
+        # every entry, so the sweep searches for bridges once; the decider
+        # searches g itself first, for its gate
+        d = Digraph.build(
+            [("a", "0", "1"), ("b", "0", "2"), ("c", "0", "3"), ("d", "1", "2"),
+             ("e", "1", "3"), ("f", "2", "3"), ("g", "3", "x")]
+        )
+        if group == "Klein":
+            g, grp, decide = d.underlying(), _KLEIN_GROUP, lambda: has_nz_four_flow(g, "conformal")
+        else:
+            g, grp, decide = d, _zp(group), lambda: has_nz_flow_conformal(g, group)
+        searched, search = [], flows.bridges
+        monkeypatch.setattr(flows, "bridges", lambda h: searched.append(h is g) or search(h))
+        assert _tension_sums(g, grp, None) == {}
+        assert searched == [False]
+        searched.clear()
+        assert not decide()
+        assert searched == [True, False]
+
+    def test_the_decider_drops_the_counts_once_the_sweep_starts(self, monkeypatch):
+        # k4 at Z_3 is bridgeless with no nowhere-zero flow, so its
+        # certificate reads 0 and the sweep decides; once the first step
+        # has read the counts, nothing holds them
+        counts, alive = [], []
+        packed_counts, sweep_order = flows._packed_counts, flows._sweep_order
+
+        def count(*args):
+            acc = packed_counts(*args)
+            counts.append(weakref.ref(acc))
+            return acc
+
+        def order(g):
+            for k, i in enumerate(sweep_order(g)):
+                if k == 1:
+                    alive.append(counts[0]() is not None)
+                yield i
+
+        monkeypatch.setattr(flows, "_packed_counts", count)
+        monkeypatch.setattr(flows, "_sweep_order", order)
+        assert not has_nz_flow_conformal(default_orientation(complete(4)), 3)
+        assert alive == [False]
 
 
 class TestConformalRouteRejectsSmallModuli:
@@ -628,7 +753,7 @@ class TestConformalCertificate:
             answer = has_nz_flow_conformal(g, group)
         table = _tension_sums(g, grp, None)
         assert answer == bool(table)
-        acc = _packed_counts(g, _tensions(g, grp, None), grp.q, None)
+        acc = _packed_counts(_tension_blocks(g, grp, None), len(g.sorted_ids), grp.q, None)
         if _certificate(acc, len(g.sorted_ids), grp.q):
             assert table
 
