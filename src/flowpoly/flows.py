@@ -443,7 +443,8 @@ def _tension_blocks(g, group: _Group, max_states):
     times the number of its records at the top code, the sum of one entry
     per record. The records that no outer vertex moves are summed once. A
     block adds the column of each record with an inner and an outer end,
-    and one value for those with no inner end."""
+    and one value for those with no inner end. Blocks are read-only: one
+    list may be yielded for several blocks."""
     q, n = group.q, len(g.sorted_ids)
     top = q - 1
     values = [[w * c for c in range(top)] + [w * top + q**n] for w in _weights(n, q)]
@@ -696,11 +697,15 @@ def _packed_counts(blocks, n: int, q: int, max_work: int | None) -> Counter:
     return acc
 
 
-def _sweep(g, acc: dict[int, int], q: int) -> dict[int, int]:
+def _sweep(g, owned: list[dict[int, int]], q: int) -> dict[int, int]:
     """The second step of _conformal_sums: the top code swept out of the
-    packed counts acc over g.sorted_ids, in the order of _sweep_order(g),
-    until no entry is left. acc is read, not changed; once the first step
-    has read it, the sweep holds it no longer."""
+    packed counts over g.sorted_ids, in the order of _sweep_order(g),
+    until no entry is left. The counts come as the one item of `owned`,
+    which the sweep takes out, so once its first step has read them no
+    reference is left and they are freed. A caller's argument of its own
+    would not do: CPython 3.10 keeps the caller's reference to each
+    argument until the call returns. The counts are read, not changed."""
+    acc = owned.pop()
     top = q - 1
     weights = _weights(len(g.sorted_ids), q)
     for i in _sweep_order(g):
@@ -726,7 +731,7 @@ def _conformal_sums(g, blocks, q: int, max_work: int | None) -> dict[int, int]:
     of _packed_counts: each map adds (-1)^|hot| at every psi agreeing with
     it off its top codes. The maps are counted, then the top code is swept
     out; the sweep order is first read once every map is counted."""
-    return _sweep(g, _packed_counts(blocks, len(g.sorted_ids), q, max_work), q)
+    return _sweep(g, [_packed_counts(blocks, len(g.sorted_ids), q, max_work)], q)
 
 
 _P = 2**61 - 1  # a Mersenne prime, the modulus of the certificate
@@ -773,9 +778,7 @@ def _has_conformal_entry(g, group: _Group, max_states) -> bool:
     counts = [_packed_counts(_tension_blocks(g, group, max_states), n, q, max_states)]
     if not bridges(g) and _certificate(counts[0], n, q):
         return True
-    # popped, so that the sweep holds the only reference and drops the
-    # counts at its first step
-    return bool(_sweep(g, counts.pop(), q))
+    return bool(_sweep(g, counts, q))
 
 
 class _Packed:

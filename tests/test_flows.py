@@ -347,9 +347,10 @@ ODOMETER_GRAPHS = {
 
 
 class TestTensionOdometer:
-    """The tensions, a block of list-built columns per step of the odometer
-    over the outer vertices, are the product reference's tuples in its
-    order."""
+    """The tensions in odometer order, the last free vertex fastest: the
+    product reference's tuples in its order. The package reaches that
+    order a block of list-built columns per step of its odometer over the
+    outer vertices; TestTensionBlocks checks the blocks themselves."""
 
     @pytest.mark.parametrize("name", sorted(ODOMETER_GRAPHS))
     @pytest.mark.parametrize("group,gname", GROUPS, ids=[n for _, n in GROUPS])
@@ -520,12 +521,18 @@ class TestSweepOrder:
         assert not decide()
         assert searched == [True, False]
 
-    def test_the_decider_drops_the_counts_once_the_sweep_starts(self, monkeypatch):
+    @pytest.mark.parametrize("route", [has_nz_flow_conformal, coefficient_table])
+    def test_the_counts_are_dropped_once_the_sweep_starts(self, monkeypatch, route):
         # k4 at Z_3 is bridgeless with no nowhere-zero flow, so its
         # certificate reads 0 and the sweep decides; once the first step
-        # has read the counts, nothing holds them
+        # has read the counts, nothing holds them. The sweep is called
+        # through a frame that keeps its arguments until the call returns,
+        # as a caller's frame does on CPython 3.10
         counts, alive = [], []
-        packed_counts, sweep_order = flows._packed_counts, flows._sweep_order
+        packed_counts, sweep_order, sweep = flows._packed_counts, flows._sweep_order, flows._sweep
+
+        def held(*args):
+            return sweep(*args)
 
         def count(*args):
             acc = packed_counts(*args)
@@ -540,7 +547,8 @@ class TestSweepOrder:
 
         monkeypatch.setattr(flows, "_packed_counts", count)
         monkeypatch.setattr(flows, "_sweep_order", order)
-        assert not has_nz_flow_conformal(default_orientation(complete(4)), 3)
+        monkeypatch.setattr(flows, "_sweep", held)
+        assert not route(default_orientation(complete(4)), 3)
         assert alive == [False]
 
 
@@ -766,7 +774,7 @@ class TestConformalCertificate:
         acc = data.draw(st.dictionaries(keys, st.integers(-3, 3).filter(bool), max_size=40))
         counts = dict(acc)
         g = Digraph.build([(f"e{i}", "u", "v") for i in range(n)], vertices=["u", "v"])
-        table = _sweep(g, acc, q)
+        table = _sweep(g, [acc], q)
         assert acc == counts  # the sweep reads the counts and keeps them
         rows = _certificate_weights(n, q)
         assert all(sum(row) % _P == 0 for row in rows)
