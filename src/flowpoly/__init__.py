@@ -5,6 +5,10 @@ The package decides nowhere-zero p-flow existence three independent ways
 brute-force enumeration), provides the Klein four-flow variant, plane
 duality through rotation systems, and the constructive orientation of
 bridgeless chordal graphs. Everything is exact integer arithmetic.
+
+Every route runs on code tuples and packed integer keys. Poly, normalize,
+flow_polynomial_raw and cyclotomic_eval are the expanded Z_p references
+that the packed fold and the evaluator are tested against.
 """
 
 from .cyclotomic import CyclotomicInt, cyclotomic_eval, cyclotomic_polynomial
@@ -30,12 +34,9 @@ from .flows import (
     find_nz_flow,
     has_nz_flow_brute,
     has_nz_flow_conformal,
-    is_conformal,
     is_dual_flow,
     is_flow,
     is_p_colorable,
-    parity,
-    surplus,
 )
 from .fourflow import (
     KleinMap,
@@ -46,9 +47,6 @@ from .fourflow import (
     four_flow_coefficient_table,
     four_flow_polynomial_normal_form,
     has_nz_four_flow,
-    is_dual_four_flow,
-    is_four_flow,
-    reduce_pair_power,
 )
 from .graphs import (
     Arc,
@@ -74,9 +72,7 @@ from .quotient import (
     flow_polynomial_normal_form,
     flow_polynomial_raw,
     has_nz_flow_membership,
-    is_in_ideal,
     normalize,
-    reduce_power,
     surplus_eval,
 )
 from .structure import (

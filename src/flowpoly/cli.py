@@ -73,6 +73,7 @@ from .quotient import (
     has_nz_flow_membership,
 )
 from .structure import (
+    _planar_report,
     chordal_orientation,
     check_coloring_correspondence,
     check_planar_duality,
@@ -310,9 +311,8 @@ def _verify_checks(args):
     if parsed.rotation is not None:
         parsed.rotation.validate(g)
         if kappa(g) == 1:  # plane duality needs a connected graph
-            planar = check_planar_duality(
-                g, parsed.rotation, p, max_states=bound, max_terms=bound
-            )
+            dual = plane_dual(g, parsed.rotation)
+            planar = _planar_report(g, dual, p, by_membership, bound)
             yield (
                 "planar-duality",
                 planar.agrees and planar.bijection_ok,

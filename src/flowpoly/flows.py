@@ -1,10 +1,10 @@
-"""Z_p valued arc maps: flows, tensions, parity, conformal counting.
+"""Group-valued maps: flows, tensions, conformal counts split by parity.
 
 A p-flow conserves (in minus out) at every vertex; a dual p-flow (tension)
 sums to zero around every circuit, equivalently comes from vertex
-potentials on each component. Parity of a map counts the arcs carrying the
-maximal label p-1. All enumerations are deterministic: free slots are
-ordered by ascending id and assignments run lexicographically.
+potentials on each component. The parity of a map is that of its number
+of arcs at the maximal label p-1. All enumerations are deterministic: free
+slots are ordered by ascending id and assignments run lexicographically.
 
 Internally a map is a tuple of codes 0..q-1 over a finite abelian group,
 a _Group. ZpMap / KleinMap objects exist only at the public edge, built to
@@ -281,17 +281,6 @@ def _zp(p: int) -> _Group:
     return _Group(codes, codes, codes, f"Z_{p}")
 
 
-def surplus(g: Digraph, phi: ZpMap) -> dict[str, int]:
-    """Flow surplus per vertex: sum over in-arcs minus sum over out-arcs,
-    mod p. Loops cancel themselves."""
-    phi.check_domain(g)
-    s = dict.fromkeys(g.vertices, 0)
-    for a in g.arcs:
-        s[a.head] += phi[a.id]
-        s[a.tail] -= phi[a.id]
-    return {v: total % phi.p for v, total in s.items()}
-
-
 def is_flow(g: Digraph, phi: ZpMap) -> bool:
     """Conservation at every vertex over phi's group: a ZpMap on a Digraph,
     or a KleinMap on an UndirectedGraph."""
@@ -520,26 +509,6 @@ def enumerate_dual_flows(g: Digraph, p: int, max_states: int | None = None) -> l
     pinned to zero. Deterministic lexicographic order over free vertices."""
     ids = g.sorted_arc_ids
     return [_map_of(ZpMap, p, ids, v) for v in _tensions(g, _zp(p), max_states)]
-
-
-def parity(phi: ZpMap) -> str:
-    """"even" or "odd" according to the count of arcs at the label p-1."""
-    n = sum(1 for v in phi.values.values() if v == phi.p - 1)
-    return "even" if n % 2 == 0 else "odd"
-
-
-def is_conformal(phi: ZpMap, psi: ZpMap) -> bool:
-    """phi(e) in {psi(e), p-1} everywhere; psi must avoid p-1."""
-    if phi.p != psi.p:
-        raise ValueError("mixed moduli")
-    if not psi.avoids_max:
-        raise ValueError("psi must avoid the maximal label p-1")
-    if set(phi.values) != set(psi.values):
-        raise ValueError("phi and psi live on different arc sets")
-    top = phi.p - 1
-    return all(
-        phi.values[a] in (psi.values[a], top) for a in phi.values
-    )
 
 
 def _count_by_subsets(base: tuple[int, ...], top: int, test, max_states) -> tuple[int, int]:

@@ -13,10 +13,11 @@ obstruct a flow and force tension value (0, 0).
 This module holds the Klein group, _KLEIN_GROUP on the codes 2a+b of
 KLEIN (adding an element is XOR of codes), its map KleinMap and the pair
 normal form PairQuotientPoly. Every route is a one-line call of the
-group-generic one: the fold of quotient, and the tests, enumerations,
-tension table and witness search of flows. KleinMap shares the map core of
-flows, so is_flow reads it over its group, and as there it is built only
-at the public edge. The conformal normal form is the tension table itself,
+group-generic one: the fold of quotient, and the enumerations, tension
+table and witness search of flows. KleinMap shares the map core of flows,
+so is_flow and is_dual_flow read it over its group, and as there it is
+built only at the public edge. A pair normal form is built only by the
+fold and by the conformal route, which is the tension table itself,
 scaled by 4^kappa.
 
 The pair normal form keys a monomial as the Klein tables key a map: the
@@ -29,19 +30,20 @@ the order the normal forms print in. The top code 3, the pair (1,1), never
 occurs in a key; it expands to minus the sum of the basic codes 0, 1, 2:
 -(1 + y_e + x_e).
 
-There is no evaluation layer: the Klein polynomial is decided through its
-normal form, its conformal table and brute force. The raw expansion and its
-evaluation at the +-1 points of the vanishing set are test references.
+There is no evaluation layer and no reduction of a given polynomial: the
+Klein polynomial is decided through its normal form, its conformal table
+and brute force. The raw expansion, its reduction edge by edge and its
+evaluation at the +-1 points of the vanishing set are test references, in
+tests/oracles.py.
 """
 
 from __future__ import annotations
 
-from .errors import DEFAULT_TERM_BOUND, VerificationError
+from .errors import VerificationError
 from .flows import (
     ConformalTable,
     _Group,
     _GroupMap,
-    _Packed,
     _circulations,
     _has_conformal_entry,
     _is_int,
@@ -49,12 +51,9 @@ from .flows import (
     _nz_flow,
     _tension_sums,
     _tensions,
-    is_dual_flow,
-    is_flow,
 )
 from .graphs import UndirectedGraph, kappa
-from .polynomials import Poly
-from .quotient import _PackedForm, _fold, _reduce_digits
+from .quotient import _PackedForm, _fold
 
 KleinPair = tuple[int, int]
 
@@ -105,23 +104,10 @@ class KleinMap(_GroupMap):
 
 
 class PairQuotientPoly(_PackedForm):
-    """Normal form over the pair basis: no edge carries the (1,1) pair."""
+    """Normal form over the pair basis: no edge carries the (1,1) pair.
+    Only the fold and the conformal route build one."""
 
     _fields = ("edges",)
-
-    def __init__(self, edges: tuple[str, ...], poly: Poly):
-        universe = set(edges)
-        for mono, _ in poly.items():
-            for (_, edge), exp in mono:
-                if edge not in universe:
-                    raise ValueError(f"variable for {edge!r} outside the universe")
-                if exp != 1:
-                    raise ValueError(f"exponent {exp} not reduced")
-            for edge, code in _pair_codes(mono).items():
-                if code == 3:
-                    raise ValueError(f"edge {edge!r} carries the (1,1) pair")
-        form = normalize_pair(poly, edges, max_terms=len(poly))
-        _Packed.__init__(self, form._ids, 4, form._packed)
 
     @property
     def edges(self) -> tuple[str, ...]:
@@ -133,19 +119,6 @@ class PairQuotientPoly(_PackedForm):
 
 def _klein_maps(ids, tuples) -> list[KleinMap]:
     return [_map_of(KleinMap, 4, ids, t) for t in tuples]
-
-
-def is_four_flow(g: UndirectedGraph, phi: KleinMap) -> bool:
-    """Componentwise mod-2 conservation at every vertex; loops drop out."""
-    return is_flow(g, phi)
-
-
-def is_dual_four_flow(g: UndirectedGraph, phi: KleinMap) -> bool:
-    """Tension test: phi(e) = omega(u) + omega(v) for some potentials.
-
-    No signs are needed because the group is self-inverse; loops must
-    carry (0, 0)."""
-    return is_dual_flow(g, phi)
 
 
 def enumerate_dual_four_flows(
@@ -171,33 +144,6 @@ def find_nz_four_flow(
     enumerate_klein_circulations."""
     codes = _nz_flow(g, _KLEIN_GROUP, max_states)
     return None if codes is None else _klein_maps(g.sorted_edge_ids, [codes])[0]
-
-
-def reduce_pair_power(x_exp: int, y_exp: int, edge: str = "e") -> PairQuotientPoly:
-    """Normal form of x_e^m y_e^n for one edge."""
-    if x_exp < 0 or y_exp < 0:
-        raise ValueError("exponents must be >= 0")
-    return normalize_pair(Poly.monomial({xvar(edge): x_exp, yvar(edge): y_exp}), (edge,))
-
-
-def _pair_codes(mono) -> dict[str, int]:
-    """The code 2a+b of each edge's exponent pair (a, b) mod 2, zeros dropped."""
-    codes: dict[str, int] = {}
-    for (kind, edge), exp in mono:
-        if exp % 2:
-            codes[edge] = codes.get(edge, 0) + (2 if kind == "x" else 1)
-    return codes
-
-
-def normalize_pair(
-    f: Poly, edges: tuple[str, ...] | None = None, max_terms: int | None = None
-) -> PairQuotientPoly:
-    """The pair-basis representative of f: the top code 3 of (1,1) expands
-    to -(1 + y_e + x_e)."""
-    bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
-    edges = tuple(sorted({v[1] for v in f.variables()} if edges is None else edges))
-    terms = ((_pair_codes(mono), c) for mono, c in f.items())
-    return PairQuotientPoly._of(edges, 4, _reduce_digits(terms, edges, 4, bound))
 
 
 def four_flow_polynomial_normal_form(

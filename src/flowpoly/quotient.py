@@ -30,11 +30,12 @@ one end folded, then the one of most arcs, then the least id.
 A normal form is a flows._Packed, as a conformal table is: it holds only
 its packed keys, over the sorted ids whatever id tuple its caller passes,
 however it is built. The fold, the conformal route and `normalize` hand
-theirs over; the constructor checks the Poly it is given and takes its
-keys from `normalize`, so _reduce_digits is the one place a Poly becomes
-keys. `is_zero`, `==` and `text_batches`, which the writers of formats
-print from, read the keys; `.poly` decodes them on each use, as a table's
-are. The conformal route is the table scaled: conformal_normal_form holds
+theirs over through _PackedForm._of. The checked constructor
+QuotientPoly(p, arcs, poly) checks the Poly it is given and takes its keys
+from `normalize`, the one place a Poly becomes keys; a Klein form has no
+such constructor. `is_zero`, `==` and `text_batches`, which the writers of
+formats print from, read the keys; `.poly` decodes them on each use, as a
+table's are. The conformal route is the table scaled: conformal_normal_form holds
 the keys of the tension table as they are, times p^kappa, and
 conformal_pair_normal_form of fourflow those of the Klein table, times
 4^kappa.
@@ -146,28 +147,33 @@ class QuotientPoly(_PackedForm):
         return self.poly.coefficient(psi)
 
 
-def reduce_power(p: int, exponent: int, var: str = "x") -> QuotientPoly:
-    """Normal form of a single variable power."""
-    if exponent < 0:
-        raise ValueError("exponent must be >= 0")
-    return normalize(Poly.variable(var, exponent), p, (var,))
-
-
-def _reduce_digits(terms, ids, q: int, max_terms: int) -> dict[int, int]:
-    """Packed base-q keys over ids of (id -> nonzero code, coeff) terms: a
-    top code q-1 expands to minus the sum of the basic codes 0..q-2."""
-    top = q - 1
-    weight = dict(zip(ids, _weights(len(ids), q)))
+def normalize(
+    f: Poly,
+    p: int,
+    arcs: tuple[str, ...] | None = None,
+    max_terms: int | None = None,
+) -> QuotientPoly:
+    """The unique basic-monomial representative of f modulo the ideal, on
+    packed keys over arcs: a top exponent p-1 expands to minus the sum of
+    the basic exponents 0..p-2."""
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
+    arcs = tuple(sorted(f.variables() if arcs is None else arcs))
+    weight = dict(zip(arcs, _weights(len(arcs), p)))
     out: dict[int, int] = {}
-    for digits, coeff in terms:
+    for mono, coeff in f.items():
         keys = [0]
-        for i, d in digits.items():
-            if i not in weight:
-                raise ValueError(f"variable for {i!r} outside the universe")
-            if d < top:
-                keys = [k + d * weight[i] for k in keys]
+        for var, exp in mono:
+            d = exp % p
+            if not d:
+                continue
+            if var not in weight:
+                raise ValueError(f"variable for {var!r} outside the universe")
+            if d < p - 1:
+                keys = [k + d * weight[var] for k in keys]
             else:
-                keys = [k + e * weight[i] for k in keys for e in range(top)]
+                keys = [k + e * weight[var] for k in keys for e in range(p - 1)]
                 coeff = -coeff
         for k in keys:
             c = out.get(k, 0) + coeff
@@ -175,28 +181,9 @@ def _reduce_digits(terms, ids, q: int, max_terms: int) -> dict[int, int]:
                 out[k] = c
             else:
                 out.pop(k, None)
-        if len(out) > max_terms:
-            raise BoundExceeded(f"normal form exceeds {max_terms} terms")
-    return out
-
-
-def normalize(
-    f: Poly,
-    p: int,
-    arcs: tuple[str, ...] | None = None,
-    max_terms: int | None = None,
-) -> QuotientPoly:
-    """The unique basic-monomial representative of f modulo the ideal."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
-    arcs = tuple(sorted(f.variables() if arcs is None else arcs))
-    terms = (({v: e % p for v, e in mono if e % p}, c) for mono, c in f.items())
-    return QuotientPoly._of(arcs, p, _reduce_digits(terms, arcs, p, bound))
-
-
-def is_in_ideal(f: Poly, p: int, max_terms: int | None = None) -> bool:
-    return normalize(f, p, max_terms=max_terms).is_zero
+        if len(out) > bound:
+            raise BoundExceeded(f"normal form exceeds {bound} terms")
+    return QuotientPoly._of(arcs, p, out)
 
 
 def flow_polynomial_raw(g: Digraph, p: int, max_terms: int | None = None) -> Poly:

@@ -216,10 +216,13 @@ def check_planar_duality(
     tuples under the identity arc bijection.
     """
     result = plane_dual(g, rot)
+    return _planar_report(g, result, p, has_nz_flow_membership(g, p, max_terms), max_states)
+
+
+def _planar_report(g: Digraph, result: PlaneDual, p: int, nz: bool, max_states) -> PlanarReport:
+    """check_planar_duality on the plane dual of g, given (a) as nz; verify
+    passes the answer of the normal form it has built."""
     dual = result.dual
-
-    nz = has_nz_flow_membership(g, p, max_terms)
-
     table = flow_conformal_table(dual, p, max_states)
     if table:
         # every entry is nonzero, so the least psi is the first imbalance;

@@ -14,7 +14,8 @@ The Klein polynomial is expanded vertex factor by vertex factor
 klein_eval evaluates it at the +-1 points of the vanishing set term by
 term; the package has no Klein evaluation. reduce_pair_reference reduces
 a polynomial in the pair ideal edge by edge with Poly arithmetic; the
-package reduces on packed codes. count_conformal_dual_four_flows counts
+package reduces no given Klein polynomial, so the fold is checked against
+this reduction of the raw expansion. count_conformal_dual_four_flows counts
 the conformal tensions of one psi, the reference for the Klein
 coefficient table.
 

@@ -453,6 +453,16 @@ class TestComputeOnce:
         assert "four-flow-identity" in out
         assert calls == {(name, group): 1 for name in names for group in ("Z_4", "Klein")}
 
+    @pytest.mark.parametrize("p, name", [(4, "k4_embedded.g"), (5, "example.g")])
+    def test_verify_with_rot_records_folds_once(self, capsys, monkeypatch, corpus_dir, p, name):
+        # the plane-duality check takes the membership answer of verify's
+        # own normal form instead of folding again
+        calls = count_calls(monkeypatch, "_fold", per_group=True)
+        code, out, _ = run(capsys, "verify", "-p", p, corpus_dir / name)
+        assert code == 0, out
+        assert "planar-duality: nz_flow=" in out
+        assert calls[("_fold", f"Z_{p}")] == 1
+
     def test_four_flow_table_builds_each_artifact_once(
         self, capsys, monkeypatch, corpus_dir
     ):

@@ -52,12 +52,9 @@ from flowpoly.flows import (
     flow_conformal_table,
     has_nz_flow_brute,
     has_nz_flow_conformal,
-    is_conformal,
     is_dual_flow,
     is_flow,
     is_p_colorable,
-    parity,
-    surplus,
 )
 from flowpoly.quotient import (
     conformal_normal_form,
@@ -72,8 +69,6 @@ from flowpoly.fourflow import (
     enumerate_klein_circulations,
     find_nz_four_flow,
     has_nz_four_flow,
-    is_dual_four_flow,
-    is_four_flow,
 )
 from flowpoly.graphs import (
     Digraph,
@@ -89,25 +84,6 @@ ARCS = ("e1", "e2", "e3")
 
 def zp(p, *vals):
     return ZpMap.from_tuple(p, ARCS, vals)
-
-
-class TestSurplus:
-    def test_flow_has_zero_surplus(self):
-        s = surplus(example_graph(), zp(3, 1, 2, 1))
-        assert set(s.values()) == {0}
-
-    def test_nonflow(self):
-        s = surplus(example_graph(), zp(3, 1, 1, 1))
-        assert s["v2"] == 1
-        assert s["v1"] == 2
-
-    def test_zero_map(self):
-        s = surplus(example_graph(), zp(3, 0, 0, 0))
-        assert set(s.values()) == {0}
-
-    def test_domain_mismatch(self):
-        with pytest.raises(ValueError):
-            surplus(example_graph(), ZpMap(3, {"e1": 1}))
 
 
 class TestMapCore:
@@ -187,11 +163,13 @@ class TestMapCore:
         assert holds_dict(maps[1])
 
     def test_predicates_read_klein_maps_over_their_group(self):
+        # on a triangle, conservation at each vertex makes two edges equal,
+        # and a tension sums to (0, 0) around the one circuit
         g = triangle()
         for values in product(KLEIN, repeat=3):
             phi = KleinMap(dict(zip(g.sorted_edge_ids, values)))
-            assert is_flow(g, phi) == is_four_flow(g, phi)
-            assert is_dual_flow(g, phi) == is_dual_four_flow(g, phi)
+            assert is_flow(g, phi) == (len(set(values)) == 1)
+            assert is_dual_flow(g, phi) == all(sum(v) % 2 == 0 for v in zip(*values))
 
 
     @pytest.mark.parametrize("value", [1.5, 1.0, True, False, "1", None])
@@ -578,25 +556,6 @@ class TestConformalRouteRejectsSmallModuli:
     def test_the_group_holds_the_check(self, p):
         with pytest.raises(ValueError, match="^p must be >= 2$"):
             _zp(p)
-
-
-class TestParity:
-    def test_examples(self):
-        assert parity(zp(3, 2, 1, 2)) == "even"
-        assert parity(zp(3, 1, 2, 1)) == "odd"
-        assert parity(zp(3, 0, 0, 0)) == "even"
-
-
-class TestConformal:
-    def test_examples(self):
-        assert is_conformal(zp(3, 2, 1, 2), zp(3, 1, 1, 0))
-        assert not is_conformal(zp(3, 2, 1, 2), zp(3, 1, 0, 1))
-        psi = zp(3, 1, 0, 1)
-        assert is_conformal(psi, psi)
-
-    def test_rejects_bad_psi(self):
-        with pytest.raises(ValueError):
-            is_conformal(zp(3, 1, 1, 1), zp(3, 2, 0, 0))
 
 
 class TestCountConformalDualFlows:

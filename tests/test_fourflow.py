@@ -16,8 +16,7 @@ from families import (
     small_multigraphs,
     triangle,
 )
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 from oracles import (
     count_conformal_dual_four_flows,
     eval_points_of,
@@ -33,26 +32,17 @@ from flowpoly.fourflow import (
     KLEIN,
     KLEIN_BASIC,
     KleinMap,
-    PairQuotientPoly,
     conformal_pair_normal_form,
     enumerate_dual_four_flows,
     enumerate_klein_circulations,
     four_flow_coefficient_table,
     four_flow_polynomial_normal_form,
     has_nz_four_flow,
-    is_dual_four_flow,
-    is_four_flow,
-    normalize_pair,
-    reduce_pair_power,
-    xvar,
-    yvar,
 )
+from flowpoly.flows import is_dual_flow, is_flow
 from flowpoly.graphs import UndirectedGraph, cyclomatic_number, kappa
 from flowpoly.polynomials import Poly
 from flowpoly.quotient import has_nz_flow_membership
-
-
-EDGES = ("a", "b", "c")
 
 
 def km(g, *pairs):
@@ -62,20 +52,20 @@ def km(g, *pairs):
 class TestIsFourFlow:
     def test_triangle_all_ones(self):
         g = triangle()
-        assert is_four_flow(g, km(g, (1, 1), (1, 1), (1, 1)))
+        assert is_flow(g, km(g, (1, 1), (1, 1), (1, 1)))
 
     def test_three_parallel_distinct(self):
         g = parallel(3)
-        assert is_four_flow(g, km(g, (0, 1), (1, 0), (1, 1)))
+        assert is_flow(g, km(g, (0, 1), (1, 0), (1, 1)))
 
     def test_single_edge(self):
         g = path(1)
-        assert not is_four_flow(g, km(g, (0, 1)))
+        assert not is_flow(g, km(g, (0, 1)))
 
     def test_loop_never_obstructs(self):
         g = single_loop()
         for v in KLEIN:
-            assert is_four_flow(g, km(g, v))
+            assert is_flow(g, km(g, v))
 
 
 class TestIsDualFourFlow:
@@ -86,20 +76,20 @@ class TestIsDualFourFlow:
             e.id: tuple((omega[e.u][i] + omega[e.v][i]) % 2 for i in (0, 1))
             for e in g.edges
         }
-        assert is_dual_four_flow(g, KleinMap(values))
+        assert is_dual_flow(g, KleinMap(values))
 
     def test_triangle_constant_fails(self):
         g = triangle()
-        assert not is_dual_four_flow(g, km(g, (0, 1), (0, 1), (0, 1)))
+        assert not is_dual_flow(g, km(g, (0, 1), (0, 1), (0, 1)))
 
     def test_zero(self):
         g = triangle()
-        assert is_dual_four_flow(g, km(g, (0, 0), (0, 0), (0, 0)))
+        assert is_dual_flow(g, km(g, (0, 0), (0, 0), (0, 0)))
 
     def test_loop_forces_zero(self):
         g = single_loop()
-        assert is_dual_four_flow(g, km(g, (0, 0)))
-        assert not is_dual_four_flow(g, km(g, (1, 0)))
+        assert is_dual_flow(g, km(g, (0, 0)))
+        assert not is_dual_flow(g, km(g, (1, 0)))
 
 
 class TestEnumerations:
@@ -107,10 +97,10 @@ class TestEnumerations:
         for g in all_connected_multigraphs(4):
             tensions = enumerate_dual_four_flows(g)
             assert len(tensions) == 4 ** (len(g.vertices) - kappa(g))
-            assert all(is_dual_four_flow(g, t) for t in tensions)
+            assert all(is_dual_flow(g, t) for t in tensions)
             flows = enumerate_klein_circulations(g)
             assert len(flows) == 4 ** cyclomatic_number(g)
-            assert all(is_four_flow(g, f) for f in flows)
+            assert all(is_flow(g, f) for f in flows)
 
     def test_parallel3_has_six_nz_flows(self):
         flows = [
@@ -118,51 +108,6 @@ class TestEnumerations:
             if f.is_nowhere_zero
         ]
         assert len(flows) == 6
-
-
-class TestReducePairPower:
-    def test_both_odd(self):
-        q = reduce_pair_power(1, 1, edge="e")
-        assert q.poly == Poly(
-            {((xvar("e"), 1),): -1, ((yvar("e"), 1),): -1, (): -1}
-        )
-
-    def test_x_even_y_odd(self):
-        q = reduce_pair_power(2, 1, edge="e")
-        assert q.poly == Poly.variable(yvar("e"))
-
-    def test_both_even(self):
-        assert reduce_pair_power(0, 0).poly == Poly.one()
-        assert reduce_pair_power(4, 2).poly == Poly.one()
-
-
-class TestNormalizePair:
-    def test_generators_vanish(self):
-        x, y = Poly.variable(xvar("e")), Poly.variable(yvar("e"))
-        assert normalize_pair(x * x - 1).is_zero
-        assert normalize_pair(y * y - 1).is_zero
-        assert normalize_pair((x + 1) * (y + 1)).is_zero
-
-    @given(terms=st.lists(
-        st.tuples(
-            st.lists(st.tuples(st.sampled_from("xy"), st.sampled_from(EDGES), st.integers(1, 3)), max_size=4),
-            st.integers(-3, 3),
-        ),
-        max_size=6,
-    ))
-    @settings(max_examples=200, deadline=None)
-    @example(terms=[([("x", "a", 1)], 1)])
-    @example(terms=[([("x", "a", 1), ("y", "b", 3)], 2), ([("y", "a", 1)], -1)])
-    def test_asymmetric_polynomials_match_the_per_edge_reduction(self, terms):
-        # drawn polynomials are rarely symmetric in x_e and y_e, so the
-        # decoded form fixes which of x_e, y_e each basic code stands for
-        f = Poly.zero()
-        for factors, coeff in terms:
-            mono = Poly.constant(coeff)
-            for kind, edge, exp in factors:
-                mono = mono * Poly.variable((xvar if kind == "x" else yvar)(edge), exp)
-            f = f + mono
-        assert normalize_pair(f, EDGES).poly == reduce_pair_reference(f)
 
 
 class TestFourFlowPolynomial:
@@ -190,9 +135,8 @@ class TestFoldAgainstRawExpansion:
     @settings(max_examples=120, deadline=None)
     def test_fold_matches_normalized_raw(self, g):
         u = g.underlying()
-        assert four_flow_polynomial_normal_form(u) == normalize_pair(
-            four_flow_polynomial_raw(u)
-        )
+        nf = four_flow_polynomial_normal_form(u)
+        assert nf.poly == reduce_pair_reference(four_flow_polynomial_raw(u))
 
     @given(g=small_multigraphs(max_vertices=5, max_edges=6))
     @settings(max_examples=120, deadline=None)
@@ -225,20 +169,6 @@ class TestNormalFormBound:
         assert len(four_flow_polynomial_normal_form(diamond(), max_terms=150).poly) == 136
 
 
-class TestPairQuotientPolyChecks:
-    def test_unknown_edge(self):
-        with pytest.raises(ValueError, match="variable for 'f' outside the universe"):
-            PairQuotientPoly(("e",), Poly.variable(xvar("f")))
-
-    def test_exponent_other_than_one(self):
-        with pytest.raises(ValueError, match="exponent 2 not reduced"):
-            PairQuotientPoly(("e",), Poly.variable(yvar("e"), 2))
-
-    def test_the_one_one_pair(self):
-        with pytest.raises(ValueError, match=r"edge 'e' carries the \(1,1\) pair"):
-            PairQuotientPoly(("e",), Poly.monomial({xvar("e"): 1, yvar("e"): 1}))
-
-
 class TestPackedNormalForms:
     @given(g=small_multigraphs(), h=small_multigraphs())
     @settings(max_examples=120, deadline=None)
@@ -247,7 +177,6 @@ class TestPackedNormalForms:
         nf = four_flow_polynomial_normal_form(u)
         forms = [nf, conformal_pair_normal_form(u)]
         forms += [four_flow_polynomial_normal_form(h.underlying())]
-        forms.append(PairQuotientPoly(nf.edges, nf.poly))
         # the same packed keys over other edge ids
         renamed = UndirectedGraph.build([("f" + e.id, *e.ends()) for e in u.edges], u.vertices)
         forms.append(four_flow_polynomial_normal_form(renamed))
@@ -304,7 +233,7 @@ class TestKleinEval:
             ids = g.sorted_edge_ids
             for combo in product(KLEIN[1:], repeat=len(ids)):
                 phi = KleinMap(dict(zip(ids, combo)))
-                expected = top if is_four_flow(g, phi) else 0
+                expected = top if is_flow(g, phi) else 0
                 assert klein_eval(raw, eval_points_of(phi)) == expected
 
 
