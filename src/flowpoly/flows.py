@@ -45,9 +45,15 @@ q^(n-1-i), the first arc the most significant digit, so that integer key
 order is the lexicographic order of the value tuples; the maps are counted
 into one dict. The top code q-1 is then swept out one arc at a time: each
 key whose digit there is q-1 moves, negated, to the q-1 keys with digits
-0..q-2 there. Each arc takes one pass over the dict: the nonzero entries
-with another digit there go into a fresh dict, and the hot ones into a
-list that is then spread out. What is left is c(psi) at the key of psi.
+0..q-2 there, and an entry that reaches 0 goes. The first arc takes one
+pass over the counts: the entries with another digit there go into a
+fresh dict, and the hot ones into a list that is then spread out. The
+entries left are grouped once by their hot set, the bitmask of their
+positions at the top code, read a few digits at a time as below. A step
+moves just the keys at the top code on its arc, the groups whose mask
+holds the arc, and each lands in the group of that mask less the arc's
+bit; so every later arc pops those groups and reads no other entry. When
+every arc is swept only group 0 is left: c(psi) at the key of psi.
 The work bound still counts (q-1)^|hot| per map, the size of its box of
 conformal psi, and is checked while counting, before any sweep.
 
@@ -96,7 +102,7 @@ joins text fragments that way, a batch of keys at a time.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import islice, product, repeat
@@ -669,30 +675,63 @@ def _packed_counts(blocks, n: int, q: int, max_work: int | None) -> Counter:
 def _sweep(g, owned: list[dict[int, int]], q: int) -> dict[int, int]:
     """The second step of _conformal_sums: the top code swept out of the
     packed counts over g.sorted_ids, in the order of _sweep_order(g),
-    until no entry is left. The counts come as the one item of `owned`,
-    which the sweep takes out, so once its first step has read them no
-    reference is left and they are freed. A caller's argument of its own
-    would not do: CPython 3.10 keeps the caller's reference to each
-    argument until the call returns. The counts are read, not changed."""
+    until no entry is left. The first step is one pass over the counts;
+    its survivors are then grouped by hot set, a mask with bit i for each
+    position i at the top code, and each later step spreads only the
+    groups whose mask holds its position, into the group without that bit.
+    The table is what is left in group 0. The counts come as the one item
+    of `owned`, which the sweep takes out, so once its first step has read
+    them no reference is left and they are freed. A caller's argument of
+    its own would not do: CPython 3.10 keeps the caller's reference to
+    each argument until the call returns. The counts are read, not
+    changed."""
     acc = owned.pop()
-    top = q - 1
-    weights = _weights(len(g.sorted_ids), q)
-    for i in _sweep_order(g):
-        w = weights[i]
-        hot = []
-        push = hot.append  # returns None, so a hot entry stays out of acc
-        # one pass into a fresh dict: deleting the hot keys in place would
-        # keep the dict at its largest size through the sweep
-        acc = {
-            key: c for key, c in acc.items()
-            if c and (key // w % q != top or push((key - top * w, c)))
-        }
-        if not (acc or hot):
+    n, top = len(g.sorted_ids), q - 1
+    weights = _weights(n, q)
+    order = _sweep_order(g)
+    i = next(order, None)
+    if i is None:
+        return dict(acc)
+    w = weights[i]
+    hot = []
+    push = hot.append  # returns None, so a hot entry stays out of acc
+    acc = {key: c for key, c in acc.items() if key // w % q != top or push((key, c))}
+    _spread(acc, hot, w, top * w)
+    del hot
+    if not acc:
+        return acc  # every entry cancelled: no later position is drawn
+    # the hot set of a key: bit i for each position i at the top code
+    cell = lambda start, digits: sum([1 << start + j for j, d in enumerate(digits) if d == top])
+    masks = _convert(acc, _chunk_tables(n, q, cell, len(acc)))
+    groups = defaultdict(dict)
+    for key, c, mask in zip(acc, acc.values(), masks):
+        groups[mask][key] = c
+    del acc
+    for i in order:
+        bit, w = 1 << i, weights[i]
+        for mask in [m for m in groups if m & bit]:
+            # top at i to the digits below it: the hot set loses bit i
+            into = groups[mask ^ bit]
+            _spread(into, groups.pop(mask).items(), w, top * w)
+            if not into:
+                del groups[mask ^ bit]
+        if not groups:
             break  # every entry cancelled: no later position is drawn
-        for key, c in hot:
-            for k in range(key, key + top * w, w):
-                acc[k] = acc.get(k, 0) - c
-    return {key: c for key, c in acc.items() if c}
+    return groups.get(0, {})
+
+
+def _spread(into: dict[int, int], hot, w: int, span: int) -> None:
+    """Each (key, c) of hot, its digit of weight w at the top code, adds
+    -c at the keys with the digits below the top there, key - span up to
+    key - w for span = (q-1)*w; an entry of `into` that reaches 0 goes."""
+    get = into.get
+    for key, c in hot:
+        for k in range(key - span, key, w):
+            x = get(k, 0) - c
+            if x:
+                into[k] = x
+            else:
+                del into[k]
 
 
 def _conformal_sums(g, blocks, q: int, max_work: int | None) -> dict[int, int]:

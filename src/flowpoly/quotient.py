@@ -218,6 +218,7 @@ def _fold(g, group: _Group, max_terms: int | None) -> dict[int, int]:
     digit d of each non-loop record at v to d + k at the record's second
     end and to d - k at its first, in the group; loops drop out. The
     skipped vertices start the accumulator at q^kappa; see the module doc.
+    The fold stops once the accumulator is empty.
     """
     bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
     q = group.q
@@ -256,6 +257,8 @@ def _fold(g, group: _Group, max_terms: int | None) -> dict[int, int]:
             if len(out) > bound:
                 raise BoundExceeded(where)
         acc = out
+        if not acc:
+            break  # a zero form stays zero: no later vertex is folded
     return acc
 
 

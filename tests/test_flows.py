@@ -678,19 +678,30 @@ class TestCoefficientTable:
                     counts = count_conformal_dual_flows(d, psi, p)
                     assert table.get(combo, 0) == counts.coefficient
 
-    @given(g=small_multigraphs(), p=st.integers(2, 4))
-    @settings(max_examples=120, deadline=None)
-    def test_equals_subset_counts_on_multigraphs(self, g, p):
-        # loops, parallel arcs, isolated vertices, several components
+    @staticmethod
+    def subset_table(g, p, count):
+        """The nonzero per-psi coefficients of count by the subset method."""
         ids = g.sorted_arc_ids
         expected = {}
         for combo in product(range(p - 1), repeat=len(ids)):
-            psi = ZpMap.from_tuple(p, ids, combo)
-            c = count_conformal_dual_flows(g, psi, p, "subset").coefficient
+            c = count(g, ZpMap.from_tuple(p, ids, combo), p, "subset").coefficient
             if c:
                 expected[combo] = c
+        return expected
+
+    @given(g=small_multigraphs(), p=st.integers(2, 5))
+    @settings(max_examples=120, deadline=None)
+    def test_equals_subset_counts_on_multigraphs(self, g, p):
+        # loops, parallel arcs, isolated vertices, several components; at
+        # p=5 each hot entry of the sweep spreads to four keys
+        expected = self.subset_table(g, p, count_conformal_dual_flows)
         assert coefficient_table(g, p) == expected
         assert has_nz_flow_conformal(g, p) == bool(expected)
+
+    @given(g=small_multigraphs(), p=st.integers(2, 5))
+    @settings(max_examples=120, deadline=None)
+    def test_flow_table_equals_subset_counts_on_multigraphs(self, g, p):
+        assert flow_conformal_table(g, p) == self.subset_table(g, p, count_conformal_flows)
 
     def test_aggregation_bound(self):
         # 27 tensions fit the bound of 30, their conformal boxes do not

@@ -18,6 +18,7 @@ from families import (
 )
 from flowpoly.cyclotomic import CyclotomicInt, cyclotomic_eval, cyclotomic_polynomial
 from flowpoly.errors import BoundExceeded
+from flowpoly.formats import load_graph
 from flowpoly.flows import ZpMap, _circulations, _zp, coefficient_table, is_flow
 from flowpoly.fourflow import (
     conformal_pair_normal_form,
@@ -243,6 +244,26 @@ class TestFoldAgainstRawExpansion:
         assert has_nz_flow_membership(g, p) == (
             not flow_polynomial_normal_form(g, p).is_zero
         )
+
+
+class TestFoldStopsWhenEmpty:
+    def test_petersen_at_z3_folds_six_vertices_of_nine(self, corpus_dir):
+        # the accumulator is empty after the sixth vertex of the order. The
+        # fold reads each star once to choose its order, then once per
+        # vertex it folds
+        g = load_graph(corpus_dir / "petersen.g").as_digraph()
+        g.bfs  # its search reads the stars too
+        reads = []
+
+        class Stars(dict):
+            def __getitem__(self, v):
+                reads.append(v)
+                return super().__getitem__(v)
+
+        g.__dict__["stars"] = Stars(g.stars)
+        assert flow_polynomial_normal_form(g, 3).is_zero
+        order = reads[:9]
+        assert reads[9:] == order[:6]
 
 
 class TestNormalFormBound:
