@@ -281,7 +281,13 @@ def _verify_checks(args):
     )
 
     n_assignments = (p - 1) ** len(g.arcs)
-    if n_assignments <= 4096:
+    if n_assignments > 4096:
+        yield ("evaluation-dichotomy", True, "skipped (too many points)")
+    # each vertex at each point builds a factor or takes a product in Z[rho],
+    # about p^2 coordinate operations either way
+    elif n_assignments * len(g.vertices) * p * p > 2**24:
+        yield ("evaluation-dichotomy", True, "skipped (too much ring work)")
+    else:
         # the value from the ring against the one the group flow test predicts
         evaluate = _evaluator(g, p)
         conserves = _flow_test(g, _zp(p))
@@ -291,8 +297,6 @@ def _verify_checks(args):
             for codes in product(range(1, p), repeat=len(g.arcs))
         )
         yield ("evaluation-dichotomy", ok, f"{n_assignments} points")
-    else:
-        yield ("evaluation-dichotomy", True, "skipped (too many points)")
 
     few = n_assignments <= 256  # else psi = 0 only
     psis = list(product(range(p - 1 if few else 1), repeat=len(g.arcs)))

@@ -32,30 +32,28 @@ vertices, q^k <= _BLOCK, each record's column of codes is built once per
 graph by list repetition, and a short odometer over the other (outer)
 free vertices picks the columns of each block; _tension_plan holds them.
 The code tuples are the rows of a block. For the conformal counts the
-same plan holds, per record, w_e*code + q^n*[code == top] (w_e the key
-weight of its position) in place of the code, so that the entries of a
-row sum to the row's packed key plus q^n times its number of top codes,
-its hot channel. The columns that no outer vertex moves are summed once,
-and a block adds the rest; a divmod by q^n then gives each tension's key
-and its box for the work bound.
+same plan holds, per record at position i, w_i*code plus q^n << i at the
+top code (w_i the key weight of i) in place of the code, so that the
+entries of a row sum, with no carries, to the row's packed value: its
+packed key plus q^n times its hot set, the mask with bit i for each
+position i at the top code. The columns that no outer vertex moves are
+summed once, and a block adds the rest.
 
 The conformal table c(psi) is aggregated on packed keys. A map is the
 base-q integer with the code of the arc at position i of n at weight
 q^(n-1-i), the first arc the most significant digit, so that integer key
 order is the lexicographic order of the value tuples; the maps are counted
-into one dict. The top code q-1 is then swept out one arc at a time: each
-key whose digit there is q-1 moves, negated, to the q-1 keys with digits
-0..q-2 there, and an entry that reaches 0 goes. The first arc takes one
-pass over the counts: the entries with another digit there go into a
-fresh dict, and the hot ones into a list that is then spread out. The
-entries left are grouped once by their hot set, the bitmask of their
-positions at the top code, read a few digits at a time as below. A step
-moves just the keys at the top code on its arc, the groups whose mask
-holds the arc, and each lands in the group of that mask less the arc's
-bit; so every later arc pops those groups and reads no other entry. When
-every arc is swept only group 0 is left: c(psi) at the key of psi.
-The work bound still counts (q-1)^|hot| per map, the size of its box of
-conformal psi, and is checked while counting, before any sweep.
+into one dict by packed value, key and hot set together. The top code q-1
+is then swept out one arc at a time: each key whose digit there is q-1
+moves, negated, to the q-1 keys with digits 0..q-2 there, and an entry
+that reaches 0 goes. The counts are grouped once by hot set, the quotient
+of each packed value by q^n, and then freed. A step moves just the keys
+at the top code on its arc, the groups whose mask holds the arc, and each
+lands in the group of that mask less the arc's bit; so every arc pops
+those groups and reads no other entry. When every arc is swept only
+group 0 is left: c(psi) at the key of psi. The work bound counts
+(q-1)^|hot| per map, the size of its box of conformal psi, and is checked
+while counting, before any sweep.
 
 The sweep steps commute, so the arcs may be taken in any order, and the
 keys keep their weights whatever the order. The order sets the cost: once
@@ -74,8 +72,9 @@ weights a_e(d) mod the prime P = 2^61-1: output q*e+d+1 of splitmix64
 for the codes d below the top, and a_e(q-1) = -(a_e(0) + ... + a_e(q-2)),
 so that each a_e sums to 0. The certificate S is the sum over the
 counted keys of the count times prod_e a_e(digit_e), one _chunk_tables
-cell (the product of a run's weights) per run of a key. A map phi with
-the hot set H gives prod_{e not in H} a_e(phi_e) times
+cell (the product of a run's weights) per run of a key; the runs read
+only the digits below q^n, so the hot set above them drops out. A map
+phi with the hot set H gives prod_{e not in H} a_e(phi_e) times
 prod_{e in H} -(a_e(0) + ... + a_e(q-2)), which is (-1)^|H| times the sum
 of prod_e a_e(psi_e) over its box, so S = sum_psi c(psi) * prod_e
 a_e(psi_e) mod P: the sweep's own identity read through a product
@@ -103,9 +102,9 @@ joins text fragments that way, a batch of keys at a time.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import islice, product, repeat
+from itertools import compress, islice, product, repeat
 from operator import add, eq, mul
 
 from .errors import (
@@ -259,32 +258,34 @@ class _Group:
     """A finite abelian group on the codes 0..q-1; q-1 is the top code.
 
     Code x carries the integer label[x], and the code of x - y is
-    diff[label[x] - label[y]], where negative indices count from the end.
-    Code x stands for the public value values[x], and bound messages name
-    the group by `name`.
+    diff[label[x] - label[y]], where negative indices count from the end;
+    label[neg[x]] is the label of -x. Code x stands for the public value
+    values[x], and bound messages name the group by `name`.
     """
 
-    label: tuple[int, ...]
-    diff: tuple[int, ...]
-    values: tuple
+    label: Sequence[int]
+    diff: Sequence[int]
+    values: Sequence
     name: str
+    neg: Sequence[int]
 
     @property
     def q(self) -> int:
         return len(self.label)
 
-    @property
-    def neg(self) -> list[int]:
-        return [self.diff[-x] for x in self.label]
-
 
 def _zp(p: int) -> _Group:
     """Z_p, the group of every Z_p route, which rejects p < 2 here. Labels
-    and values are the codes, and codes[x - y] is (x - y) mod p."""
+    and values are the codes, codes[x - y] is (x - y) mod p, and neg[x] is
+    -x, an index from the end. Past 256 codes every sequence is a range,
+    so no table of p codes is built before a route checks its bound; up to
+    there tuples, which the inner loops index about twice as fast."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    codes = tuple(range(p))
-    return _Group(codes, codes, codes, f"Z_{p}")
+    codes, neg = range(p), range(0, -p, -1)
+    if p <= 256:
+        codes, neg = tuple(codes), tuple(neg)
+    return _Group(codes, codes, codes, f"Z_{p}", neg)
 
 
 def is_flow(g: Digraph, phi: ZpMap) -> bool:
@@ -397,9 +398,10 @@ def _tension_plan(g, group: _Group, max_states, values):
         sh, st = slot.get(h, -1), slot.get(t, -1)  # -1 for a root
         lo, hi = sorted((sh, st))
         # entry[x][y] for the labels x at the end of the lower slot and y
-        # at the other; a root is at digit 0, whose label is 0
+        # at the other; a root is at digit 0, whose label is 0: one row
         sign = 1 if sh < st else -1
-        entry = [[value[diff[sign * (x - y)]] for y in label] for x in label]
+        rows = label if lo >= 0 else label[:1]
+        entry = [[value[diff[sign * (x - y)]] for y in label] for x in rows]
         outs = [s for s in (lo, hi) if 0 <= s < outer]
         ins = [s - outer for s in (lo, hi) if s >= outer]
         table = []
@@ -434,15 +436,18 @@ def _tensions(g, group: _Group, max_states):
 
 def _tension_blocks(g, group: _Group, max_states):
     """The tensions of _tensions in its order, a block at a time, each
-    packed for _packed_counts as key + W*hot: its packed key plus W = q^n
-    times the number of its records at the top code, the sum of one entry
-    per record. The records that no outer vertex moves are summed once. A
-    block adds the column of each record with an inner and an outer end,
-    and one value for those with no inner end. Blocks are read-only: one
-    list may be yielded for several blocks."""
+    packed for _packed_counts as key + q^n*mask, its packed key and hot
+    set as in the module doc: the sum of one entry per record. The records
+    that no outer vertex moves are summed once. A block adds the column of
+    each record with an inner and an outer end, and one value for those
+    with no inner end. Blocks are read-only: one list may be yielded for
+    several blocks."""
     q, n = group.q, len(g.sorted_ids)
-    top = q - 1
-    values = [[w * c for c in range(top)] + [w * top + q**n] for w in _weights(n, q)]
+    top, unit = q - 1, q**n
+    values = (  # read by the plan once the state bound is checked
+        [w * c for c in range(top)] + [w * top + (unit << i)]
+        for i, w in enumerate(_weights(n, q))
+    )
     m, outer, plan = _tension_plan(g, group, max_states, values)
     fixed, base, columns, constants = [0] * m, 0, [], []
     for a, b, inner, t in plan:
@@ -463,11 +468,12 @@ def _tension_blocks(g, group: _Group, max_states):
 
 def _packed_blocks(tuples, n: int, q: int):
     """Code tuples over n positions packed as the blocks of
-    _tension_blocks, up to _BLOCK tuples a block."""
-    weights, unit, top = _weights(n, q), q**n, q - 1
+    _tension_blocks, key + q^n*mask, up to _BLOCK tuples a block."""
+    weights, top = _weights(n, q), q - 1
+    bits = [q**n << i for i in range(n)]
     tuples = iter(tuples)
     while batch := list(islice(tuples, _BLOCK)):
-        yield [sum(map(mul, v, weights)) + unit * v.count(top) for v in batch]
+        yield [sum(map(mul, v, weights)) + sum(compress(bits, map(top.__eq__, v))) for v in batch]
 
 
 def _circulations(g, group: _Group, max_states):
@@ -655,64 +661,48 @@ def _sweep_order(g):
 
 def _packed_counts(blocks, n: int, q: int, max_work: int | None) -> Counter:
     """The first step of _conformal_sums: maps over n positions counted by
-    packed key, from blocks of key + q^n * hot values as _tension_blocks
-    and _packed_blocks yield them. The work bound counts the box of each
-    map, (q-1)^|hot| conformal psi, and is checked for every block before
-    the block is counted."""
+    their packed values, key + q^n*mask as _tension_blocks and
+    _packed_blocks yield them. The work bound counts the box of each map,
+    (q-1)^|hot| conformal psi, and is checked for every block before the
+    block is counted."""
     bound = DEFAULT_TERM_BOUND if max_work is None else max_work
     box = [(q - 1) ** h for h in range(n + 1)]
     unit = q**n
     acc = Counter()
     work = 0
     for block in blocks:
-        work += sum([box[x // unit] for x in block])
+        work += sum([box[(x // unit).bit_count()] for x in block])
         if work > bound:
             raise BoundExceeded(f"conformal aggregation exceeds {bound} steps")
-        acc.update([x % unit for x in block])
+        acc.update(block)
     return acc
 
 
 def _sweep(g, owned: list[dict[int, int]], q: int) -> dict[int, int]:
     """The second step of _conformal_sums: the top code swept out of the
     packed counts over g.sorted_ids, in the order of _sweep_order(g),
-    until no entry is left. The first step is one pass over the counts;
-    its survivors are then grouped by hot set, a mask with bit i for each
-    position i at the top code, and each later step spreads only the
-    groups whose mask holds its position, into the group without that bit.
-    The table is what is left in group 0. The counts come as the one item
-    of `owned`, which the sweep takes out, so once its first step has read
-    them no reference is left and they are freed. A caller's argument of
-    its own would not do: CPython 3.10 keeps the caller's reference to
-    each argument until the call returns. The counts are read, not
-    changed."""
+    until no entry is left. The counts are grouped by hot set, the mask
+    above q^n in each packed value, and each step spreads only the groups
+    whose mask holds its position, into the group without that bit. The
+    table is what is left in group 0, whose packed values are the keys.
+    The counts come as the one item of `owned`, which the sweep takes
+    out, so once they are grouped no reference is left and they are
+    freed. A caller's argument of its own would not do: CPython 3.10
+    keeps the caller's reference to each argument until the call
+    returns. The counts are read, not changed."""
     acc = owned.pop()
     n, top = len(g.sorted_ids), q - 1
-    weights = _weights(n, q)
-    order = _sweep_order(g)
-    i = next(order, None)
-    if i is None:
-        return dict(acc)
-    w = weights[i]
-    hot = []
-    push = hot.append  # returns None, so a hot entry stays out of acc
-    acc = {key: c for key, c in acc.items() if key // w % q != top or push((key, c))}
-    _spread(acc, hot, w, top * w)
-    del hot
-    if not acc:
-        return acc  # every entry cancelled: no later position is drawn
-    # the hot set of a key: bit i for each position i at the top code
-    cell = lambda start, digits: sum([1 << start + j for j, d in enumerate(digits) if d == top])
-    masks = _convert(acc, _chunk_tables(n, q, cell, len(acc)))
+    unit, weights = q**n, _weights(n, q)
     groups = defaultdict(dict)
-    for key, c, mask in zip(acc, acc.values(), masks):
-        groups[mask][key] = c
+    for x, c in acc.items():
+        groups[x // unit][x] = c
     del acc
-    for i in order:
-        bit, w = 1 << i, weights[i]
+    for i in _sweep_order(g):
+        bit, w, drop = 1 << i, weights[i], unit << i
         for mask in [m for m in groups if m & bit]:
             # top at i to the digits below it: the hot set loses bit i
             into = groups[mask ^ bit]
-            _spread(into, groups.pop(mask).items(), w, top * w)
+            _spread(into, groups.pop(mask).items(), w, drop + top * w, drop)
             if not into:
                 del groups[mask ^ bit]
         if not groups:
@@ -720,13 +710,15 @@ def _sweep(g, owned: list[dict[int, int]], q: int) -> dict[int, int]:
     return groups.get(0, {})
 
 
-def _spread(into: dict[int, int], hot, w: int, span: int) -> None:
-    """Each (key, c) of hot, its digit of weight w at the top code, adds
-    -c at the keys with the digits below the top there, key - span up to
-    key - w for span = (q-1)*w; an entry of `into` that reaches 0 goes."""
+def _spread(into: dict[int, int], hot, w: int, lo: int, hi: int) -> None:
+    """Each (key, c) of hot adds -c at key - lo, key - lo + w, ... up to,
+    not including, key - hi; an entry of `into` that reaches 0 goes. The
+    sweep takes lo - hi = (q-1)*w, so the targets are the key with each
+    code below the top at the digit of weight w, and hi the bit of that
+    position in the hot set times q^n, which clears."""
     get = into.get
     for key, c in hot:
-        for k in range(key - span, key, w):
+        for k in range(key - lo, key - hi, w):
             x = get(k, 0) - c
             if x:
                 into[k] = x
@@ -825,7 +817,7 @@ class ConformalTable(_Packed, Mapping):
     code k standing for code_values[k]. Lookups decode the keys once; len,
     values() and the writers of formats read them packed."""
 
-    def __init__(self, ids: tuple[str, ...], code_values: tuple, packed: dict[int, int]):
+    def __init__(self, ids: tuple[str, ...], code_values: Sequence, packed: dict[int, int]):
         super().__init__(ids, len(code_values), packed)
         self.code_values = code_values
         self._decoded = None

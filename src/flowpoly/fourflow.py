@@ -64,13 +64,13 @@ KLEIN_BASIC = ((0, 0), (0, 1), (1, 0))  # the nowhere-(1,1) codomain
 def _klein_group() -> _Group:
     """The group on the codes 2a+b of KLEIN. Code 2a+b carries the label
     4a+b: the label difference 4(a-a') + (b-b') tells the code of the
-    difference, which is the XOR of the codes."""
+    difference, the XOR of the codes, so each code is its own neg."""
     label = (0, 1, 4, 5)
     diff = [0] * 11
     for x in range(4):
         for y in range(4):
             diff[label[x] - label[y]] = x ^ y
-    return _Group(label, tuple(diff), KLEIN, "Klein")
+    return _Group(label, tuple(diff), KLEIN, "Klein", range(4))
 
 
 _KLEIN_GROUP = _klein_group()

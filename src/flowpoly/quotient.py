@@ -350,10 +350,10 @@ def _evaluator(g: Digraph, p: int):
     arc e at position i of g.sorted_arc_ids, as flow_poly_eval gives it.
     Each vertex's residue adds the code of every arc record at its head and
     subtracts it at its tail, so a loop cancels; the vertex factors then
-    multiply in Z[rho] in sorted-vertex order, up to the first zero one."""
+    multiply in Z[rho] in sorted-vertex order, up to the first zero one.
+    A factor is built on the first read of its residue mod p, and cached."""
     slot = {v: k for k, v in enumerate(g.sorted_vertices)}
     ends = [(slot[a.head], slot[a.tail]) for a in map(g.arc_by_id.get, g.sorted_arc_ids)]
-    factors = [_vertex_factor(p, r) for r in range(p)]
     one = CyclotomicInt.one(p)
 
     def evaluate(codes) -> CyclotomicInt:
@@ -363,7 +363,7 @@ def _evaluator(g: Digraph, p: int):
             residue[tail] -= k
         result = one
         for r in residue:
-            factor = factors[r % p]
+            factor = _vertex_factor(p, r % p)
             if factor.is_zero:
                 return factor
             result = result * factor

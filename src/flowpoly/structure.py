@@ -281,9 +281,7 @@ def check_coloring_correspondence(
         coloring = coloring_from_dual_flow(d, _map_of(ZpMap, p, d.sorted_arc_ids, values))
         for e in g.edges:
             if not e.is_loop and coloring[e.u] == coloring[e.v]:
-                raise VerificationError(
-                    "constructed coloring is not proper; this is a bug"
-                )
+                raise RuntimeError("constructed coloring is not proper; this is a bug")
     return ColoringReport(
         p=p,
         colorable=colorable,

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import random
 import re
+import resource
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -294,6 +297,26 @@ class TestVerify:
         self.assert_only_the_dichotomy_fails(capsys, corpus_dir)
 
 
+class TestEvaluationWork:
+    def test_factors_are_built_for_the_residues_read(self, capsys, monkeypatch, tmp_path):
+        # one vertex and no arc: one point, whose one residue is 0
+        g = tmp_path / "vertex.g"
+        g.write_text("v a\n")
+        calls = count_calls(monkeypatch, "_vertex_factor")
+        code, out, _ = run(capsys, "verify", "-p", 101, g)
+        assert code == 0
+        assert "ok   evaluation-dichotomy: 1 points" in out.splitlines()
+        assert calls["_vertex_factor"] == 1
+
+    @pytest.mark.parametrize("p, detail", [(199, "198 points"), (211, "skipped (too much ring work)")])
+    def test_the_check_is_guarded_by_its_ring_work(self, capsys, corpus_dir, p, detail):
+        # p - 1 points at 2 vertices, about p^2 coordinate operations each:
+        # 199 is the last prime within 2^24 of them
+        code, out, _ = run(capsys, "verify", "-p", p, corpus_dir / "single_edge.g")
+        assert code == 0
+        assert f"ok   evaluation-dichotomy: {detail}" in out.splitlines()
+
+
 class TestErrors:
     def test_parse_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.g"
@@ -348,6 +371,33 @@ class TestErrors:
         g.write_text("".join(f"e e{i:02d} u v\n" for i in range(14)))
         err = self._exits_3_quickly(capsys, "four-flow", "--bound", 100, g)
         assert "exceed" in err.lower()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("nz-flow", "--method", "brute", "c3.g"),
+            ("normal-form", "c3.g"),
+            ("coeff-table", "c3.g"),
+            ("verify", "c3.g"),
+            ("planar-check", "k4_embedded.g"),
+        ],
+    )
+    def test_huge_p_ends_in_a_bound_error_in_bounded_memory(self, corpus_dir, argv):
+        # in a child with 256 MiB of address space, where a table of 10^8
+        # codes does not fit: the bound is checked before any O(p) table
+        limit = 256 * 2**20
+        cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        command, *flags, name = argv
+        done = subprocess.run(
+            [sys.executable, "-m", "flowpoly", command, "-p", "100000000", *flags, corpus_dir / name],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            preexec_fn=cap,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (3, ""), done.stderr
+        assert re.fullmatch(r"error: [^\n]*exceed[^\n]*\n", done.stderr)
 
     def test_p_below_two_exit_2(self, capsys, corpus_dir):
         code, _, err = run(capsys, "nz-flow", "-p", 1, corpus_dir / "example.g")
@@ -501,6 +551,17 @@ class TestInternalErrors:
         assert out == ""
         assert err.startswith("internal error:")
         assert "Traceback" in err and type(exc).__name__ in err
+
+    def test_an_improper_constructed_coloring_exits_4(self, capsys, monkeypatch, corpus_dir):
+        # the coloring is the package's own construction from a tension it
+        # found, so an improper one is a bug, not two routes disagreeing
+        monochrome = lambda fn: lambda d, phi: dict.fromkeys(d.vertices, 0)
+        patch_everywhere(monkeypatch, "coloring_from_dual_flow", monochrome)
+        code, out, err = run(capsys, "verify", "-p", 3, corpus_dir / "example.g")
+        assert code == 4
+        assert "FAIL" not in out and "check(s) failed" not in out
+        assert err.startswith("internal error:")
+        assert "RuntimeError: constructed coloring is not proper; this is a bug" in err
 
     def test_seeded_fuzz_never_crashes(self, capsys, tmp_path, corpus_dir):
         # mutated corpus texts end in a result, a disagreement, bad input or

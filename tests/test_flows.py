@@ -3,6 +3,7 @@ import gc
 import pickle
 import random
 import re
+import tracemalloc
 import weakref
 from collections import Counter
 from itertools import product
@@ -35,6 +36,7 @@ from flowpoly.flows import (
     _certificate,
     _certificate_weights,
     _circulations,
+    _packed_blocks,
     _packed_counts,
     _sweep,
     _sweep_order,
@@ -397,9 +399,12 @@ class TestTensionBlocks:
         assert list(_tensions(g, group, None)) == expected
         packed = [x for block in _tension_blocks(g, group, None) for x in block]
         keys = packed_keys(g, group)
-        assert packed == [k + q**n * t.count(q - 1) for k, t in zip(keys, expected)]
+        masks = [sum(1 << i for i, c in enumerate(t) if c == q - 1) for t in expected]
+        assert packed == [k + q**n * mask for k, mask in zip(keys, masks)]
+        # the flow tables' packer: the same encoding of the same tuples
+        assert [x for block in _packed_blocks(expected, n, q) for x in block] == packed
         acc = _packed_counts(_tension_blocks(g, group, None), n, q, None)
-        assert list(acc.items()) == list(Counter(keys).items())
+        assert list(acc.items()) == list(Counter(packed).items())
 
     @given(d=small_multigraphs(max_vertices=6, max_edges=7), block=st.sampled_from([1, "q", 256]))
     @settings(max_examples=100, deadline=None)
@@ -423,6 +428,19 @@ class TestTensionBlocks:
         d = BLOCK_GRAPHS["k5"]
         blocks = list(_tension_blocks(d, _zp(5), None))
         assert [len(b) for b in blocks] == [125] * 5
+
+    def test_a_record_at_a_root_tabulates_one_row(self):
+        # one arc from the root at Z_1009: a row of 1009 entries, where a
+        # square of 1009^2 would take over 30 MB
+        d = Digraph.build([("a", "u", "v")])
+        tracemalloc.start()
+        try:
+            tensions = list(_tensions(d, _zp(1009), None))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tensions == [(x,) for x in range(1009)]
+        assert peak < 2**22
 
     @pytest.mark.parametrize("decide", [False, True])
     def test_work_bound_is_exact_on_several_blocks(self, corpus_dir, decide):
@@ -502,10 +520,11 @@ class TestSweepOrder:
     @pytest.mark.parametrize("route", [has_nz_flow_conformal, coefficient_table])
     def test_the_counts_are_dropped_once_the_sweep_starts(self, monkeypatch, route):
         # k4 at Z_3 is bridgeless with no nowhere-zero flow, so its
-        # certificate reads 0 and the sweep decides; once the first step
-        # has read the counts, nothing holds them. The sweep is called
-        # through a frame that keeps its arguments until the call returns,
-        # as a caller's frame does on CPython 3.10
+        # certificate reads 0 and the sweep decides; once the sweep has
+        # grouped the counts, before it draws its first position, nothing
+        # holds them. The sweep is called through a frame that keeps its
+        # arguments until the call returns, as a caller's frame does on
+        # CPython 3.10
         counts, alive = [], []
         packed_counts, sweep_order, sweep = flows._packed_counts, flows._sweep_order, flows._sweep
 
@@ -518,10 +537,8 @@ class TestSweepOrder:
             return acc
 
         def order(g):
-            for k, i in enumerate(sweep_order(g)):
-                if k == 1:
-                    alive.append(counts[0]() is not None)
-                yield i
+            alive.append(counts[0]() is not None)
+            yield from sweep_order(g)
 
         monkeypatch.setattr(flows, "_packed_counts", count)
         monkeypatch.setattr(flows, "_sweep_order", order)
@@ -738,20 +755,38 @@ class TestConformalCertificate:
     @given(q=st.integers(2, 5), n=st.integers(0, 5), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_certificate_reads_the_table_through_a_product(self, q, n, data):
-        # any packed counts, not only those of tensions: S is the sum of
-        # c(psi) * prod_e a_e(psi_e) over the swept table
-        keys = st.integers(0, q**n - 1)
-        acc = data.draw(st.dictionaries(keys, st.integers(-3, 3).filter(bool), max_size=40))
+        # any packed counts, not only those of tensions, each key packed
+        # with its hot set: the sweep gives per psi the sum of (-1)^|hot|
+        # times the count of each key equal to psi off its top codes, and
+        # S is the sum of c(psi) * prod_e a_e(psi_e) over that table
+        codes = st.tuples(*[st.integers(0, q - 1)] * n)
+        drawn = data.draw(st.dictionaries(codes, st.integers(-3, 3).filter(bool), max_size=40))
+
+        def key(t):
+            return sum(d * q ** (n - 1 - e) for e, d in enumerate(t))
+
+        hot = {t: [e for e, d in enumerate(t) if d == q - 1] for t in drawn}
+        acc = {key(t) + q**n * sum(1 << e for e in hot[t]): c for t, c in drawn.items()}
         counts = dict(acc)
         g = Digraph.build([(f"e{i}", "u", "v") for i in range(n)], vertices=["u", "v"])
         table = _sweep(g, [acc], q)
         assert acc == counts  # the sweep reads the counts and keeps them
+        reference = {}
+        for psi in product(range(q - 1), repeat=n):
+            c = sum(
+                (-1) ** len(hot[t]) * c
+                for t, c in drawn.items()
+                if all(d in (x, q - 1) for d, x in zip(t, psi))
+            )
+            if c:
+                reference[key(psi)] = c
+        assert table == reference
         rows = _certificate_weights(n, q)
         assert all(sum(row) % _P == 0 for row in rows)
         expected = 0
-        for key, c in table.items():
+        for k, c in table.items():
             for e in range(n):
-                c *= rows[e][key // q ** (n - 1 - e) % q]
+                c *= rows[e][k // q ** (n - 1 - e) % q]
             expected += c
         assert _certificate(acc, n, q) == expected % _P
 
