@@ -23,21 +23,27 @@ The generic helpers take the graph itself, a Digraph or an
 UndirectedGraph, and read a code tuple over its sorted record ids. They
 read the graph's cached breadth-first search (components and a spanning
 forest from the least vertex of each component) and its stars (each
-non-loop record at a vertex with its sign there); see graphs. Potentials
-grow along the forest, circulations solve the forest records from the
-leaves up, and the flow test sums each star, so none of them rebuilds
-incidence data. Tensions are built a block at a time. A record's code
-depends only on the potentials at its two ends, so over the k last free
-vertices, q^k <= _BLOCK, each record's column of codes is built once per
-graph by list repetition, and a short odometer over the other (outer)
-free vertices picks the columns of each block; _tension_plan holds them.
-The code tuples are the rows of a block. For the conformal counts the
-same plan holds, per record at position i, w_i*code plus q^n << i at the
-top code (w_i the key weight of i) in place of the code, so that the
-entries of a row sum, with no carries, to the row's packed value: its
-packed key plus q^n times its hot set, the mask with bit i for each
-position i at the top code. The columns that no outer vertex moves are
-summed once, and a block adds the rest.
+non-loop record at a vertex with its sign there); see graphs. The tension
+test grows potentials along the forest and the flow test sums each star,
+so none of them rebuilds incidence data.
+
+Tensions and circulations come from one block enumerator, on signed forms
+built once per graph: a record's code is a +-1 sum of free codes. For a
+tension the free codes are the potentials of the sorted non-root
+vertices, and a record's form is the potential at its second end minus
+the one at its first; for a circulation they are the codes of the
+records off the forest, and each forest record is solved once, leaves
+up. Tuples run lexicographically over the free codes, the last fastest.
+Over the k last free codes, q^k <= _BLOCK, each record's column of codes
+is built once by list repetition, and an odometer over the other (outer)
+free codes picks per block the column at the group sum of the record's
+outer codes; _plan holds them. The code tuples are the rows of a block.
+For the conformal counts the same plan holds, per record at position i,
+w_i*code plus q^n << i at the top code (w_i the key weight of i) in place
+of the code, so that the entries of a row sum, with no carries, to the
+row's packed value: its packed key plus q^n times its hot set, the mask
+with bit i for each position i at the top code. The columns that no
+outer code moves are summed once, and a block adds the rest.
 
 The conformal table c(psi) is aggregated on packed keys. A map is the
 base-q integer with the code of the arc at position i of n at weight
@@ -104,7 +110,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import compress, islice, product, repeat
+from itertools import islice, product, repeat
 from operator import add, eq, mul
 
 from .errors import (
@@ -351,157 +357,152 @@ def _potentials(g, group: _Group):
     return list(slot), solve
 
 
-_BLOCK = 256  # most tensions in a block, built at once by list repetition
+_BLOCK = 256  # most tuples in a block, built at once by list repetition
 
 
-def _column(q: int, k: int, at: list[int], table) -> list:
-    """table[d_1][d_2]... for every vector of k digits 0..q-1 in
-    lexicographic order, d_i being its digit at position at[i], built by
-    list repetition: the digit at position s holds for q^(k-1-s) rows at
-    a time, and the run of its q values repeats q^s times."""
-    if not at:
-        return [table] * q**k
-    s, run = at[0], []
-    if at[1:]:
-        for sub in table:
-            run += _column(q, k - s - 1, [a - s - 1 for a in at[1:]], sub)
-    else:
-        for x in table:
-            run += [x] * q ** (k - s - 1)
+def _tension_forms(g) -> tuple[int, list[dict[int, int]]]:
+    """(free, forms) of the tensions of g: the free codes are the
+    potentials of the sorted non-root vertices, a root's being 0, and the
+    form of each record is the potential at its second end minus the one
+    at its first; a loop's terms cancel."""
+    free = sorted(v for comp in g.bfs[0] for v in comp[1:])
+    slot = {v: s for s, v in enumerate(free)}
+    forms = []
+    for r in g.sorted_ids:
+        t, h = g.by_id[r].ends()
+        form = Counter({slot.get(h): 1})
+        form[slot.get(t)] -= 1
+        del form[None]  # a root's potential is 0; a Counter ignores a missing key
+        forms.append(form)
+    return len(free), forms
+
+
+def _flow_forms(g) -> tuple[int, list[dict[int, int]]]:
+    """(free, forms) of the circulations of g: the free codes are those of
+    the records off the forest, by ascending position. Leaves up, each
+    forest record balances the others at its vertex w, free or solved:
+    sign*x + sum s*y = 0 there, so x takes -sign*s*y from each other y."""
+    stars, steps = g.stars, g.bfs[1]
+    forest = {i for _, _, i, _ in steps}
+    free = [i for i in range(len(g.sorted_ids)) if i not in forest]
+    forms = {i: {s: 1} for s, i in enumerate(free)}
+    for w, _, i, sign in reversed(steps):
+        form = Counter()
+        for j, s in stars[w]:
+            if j != i:  # -sign*s*y: y's form subtracted where s = sign
+                (form.subtract if s == sign else form.update)(forms[j])
+        forms[i] = form
+    return len(free), [forms[i] for i in range(len(g.sorted_ids))]
+
+
+def _column(group: _Group, k: int, at, value, x: int) -> list:
+    """value[x + c_1*d_1 + c_2*d_2 + ...] for every vector of k codes in
+    lexicographic order, d_i its code at position s_i for the terms
+    (s_i, labs_i) of `at`, ascending and not empty, labs_i[d] the label of
+    -c_i*d. Built by list repetition: the code at position s holds for
+    q^(k-1-s) rows at a time, and the run of its q values repeats q^s times."""
+    q, label, diff = group.q, group.label, group.diff
+    s, labs = at[0]
+    rest, run = [(a - s - 1, t) for a, t in at[1:]], []
+    for d in range(q):
+        y = diff[label[x] - labs[d]]
+        run += _column(group, k - s - 1, rest, value, y) if rest else [value[y]] * q ** (k - s - 1)
     return run * q**s
 
 
-def _tension_plan(g, group: _Group, max_states, values):
-    """(m, outer, plan) for the tensions of g in blocks of m = q^k rows.
-    The sorted free vertices split into the `outer` first ones, stepped
-    once per block, and the k last ones, q^k <= _BLOCK, whose potentials
-    run through the rows of a block. plan holds per record (a, b, inner,
-    table): with the outer digits of a block, extended by a last digit 0,
-    as e, the record's entry in the block is table[e[a] * q + e[b]], a
-    column of m rows when the record has an inner end, else one value for
-    every row. The entry of a row is values[i][code] for the record at
-    position i and its code in that row's tension."""
-    q, label, diff = group.q, group.label, group.diff
-    free = sorted(v for comp in g.bfs[0] for v in comp[1:])
-    _check_states(q ** len(free), max_states)
-    k = 0
-    while k < len(free) and q ** (k + 1) <= _BLOCK:
-        k += 1
-    outer = len(free) - k
-    slot = {v: i for i, v in enumerate(free)}
+def _plan(group: _Group, free: int, forms, max_states, values):
+    """(m, outer, plan) for the code tuples over `free` free codes and a
+    form per record, free slot -> coefficient +-1, in blocks of m = q^k
+    rows: the `outer` first free codes step once per block, the k last
+    ones, q^k <= _BLOCK, run through its rows. plan holds per record
+    (outs, inner, table): outs pairs the slot of each outer term with the
+    labels of minus the term per code; the record's entry in a block is
+    table[o], o the group sum of its outer terms, a column of m rows if
+    the record has an inner term, else one value for every row. The
+    entry of a row is values[i][code], i the record's position."""
+    q, label = group.q, group.label
+    _check_states(q**free, max_states)
+    k = max(k for k in range(free + 1) if q**k <= _BLOCK)
+    outer = free - k
+    # labels of -d per code d; none built at a huge q with no free code to read them
+    minus = {-1: label, 1: [label[x] for x in group.neg] if free else ()}
     plan = []
-    for r, value in zip(g.sorted_ids, values):
-        t, h = g.by_id[r].ends()
-        if h == t:  # a loop carries code 0
-            plan.append((outer, outer, False, [value[0]]))
-            continue
-        sh, st = slot.get(h, -1), slot.get(t, -1)  # -1 for a root
-        lo, hi = sorted((sh, st))
-        # entry[x][y] for the labels x at the end of the lower slot and y
-        # at the other; a root is at digit 0, whose label is 0: one row
-        sign = 1 if sh < st else -1
-        rows = label if lo >= 0 else label[:1]
-        entry = [[value[diff[sign * (x - y)]] for y in label] for x in rows]
-        outs = [s for s in (lo, hi) if 0 <= s < outer]
-        ins = [s - outer for s in (lo, hi) if s >= outer]
-        table = []
-        for od in product(range(q), repeat=len(outs)):
-            digit = dict(zip(outs, od))
-            digit[-1] = 0
-            sub = entry
-            for s in (lo, hi):  # the fixed ends come first
-                if s in digit:
-                    sub = sub[digit[s]]
-            table.append(_column(q, k, ins, sub) if ins else sub)
-        a, b = ([outer, outer] + outs)[-2:]
-        plan.append((a, b, bool(ins), table))
+    for form, value in zip(forms, values):
+        terms = sorted((s, minus[c]) for s, c in form.items() if c)
+        outs = [(s, labs) for s, labs in terms if s < outer]
+        ins = [(s - outer, labs) for s, labs in terms if s >= outer]
+        sums = range(q) if outs else (0,)
+        table = [_column(group, k, ins, value, o) if ins else value[o] for o in sums]
+        plan.append((outs, bool(ins), table))
     return q**k, outer, plan
 
 
-def _tensions(g, group: _Group, max_states):
-    """Tension code tuples over g.sorted_ids: the potential at each
-    record's second end minus the one at its first. The potentials of the
-    sorted non-root vertices run lexicographically, the last one fastest;
-    roots are at 0. A block of _tension_plan at a time, a tuple per row."""
-    q = group.q
-    m, outer, plan = _tension_plan(g, group, max_states, [range(q)] * len(g.sorted_ids))
-    for od in product(range(q), repeat=outer):
-        e = (*od, 0)
-        columns = [
-            t[e[a] * q + e[b]] if inner else repeat(t[e[a] * q + e[b]], m)
-            for a, b, inner, t in plan
-        ]
+def _entries(group: _Group, outer: int, plan):
+    """Per block, in odometer order over the outer codes, the last
+    fastest, the entry table[o] of each record of plan."""
+    label, diff = group.label, group.diff
+    for od in product(range(group.q), repeat=outer):
+        entries = []
+        for outs, _, table in plan:
+            o = 0
+            for s, labs in outs:
+                o = diff[label[o] - labs[od[s]]]
+            entries.append(table[o])
+        yield entries
+
+
+def _rows(group: _Group, free: int, forms, max_states):
+    """The code tuples of a space of _plan, lexicographic over the free
+    codes, the last fastest: the rows of each block."""
+    m, outer, plan = _plan(group, free, forms, max_states, [range(group.q)] * len(forms))
+    for entries in _entries(group, outer, plan):
+        columns = [e if inner else repeat(e, m) for (_, inner, _), e in zip(plan, entries)]
         yield from zip(*columns) if columns else repeat((), m)
 
 
-def _tension_blocks(g, group: _Group, max_states):
-    """The tensions of _tensions in its order, a block at a time, each
-    packed for _packed_counts as key + q^n*mask, its packed key and hot
-    set as in the module doc: the sum of one entry per record. The records
-    that no outer vertex moves are summed once. A block adds the column of
-    each record with an inner and an outer end, and one value for those
-    with no inner end. Blocks are read-only: one list may be yielded for
-    several blocks."""
-    q, n = group.q, len(g.sorted_ids)
+def _blocks(group: _Group, free: int, forms, max_states):
+    """The code tuples of _rows in its order, a block at a time, each
+    packed as key + q^n*mask, its packed key and hot set as in the module
+    doc: the sum of one entry per record. The records with no outer term
+    are summed once; a block adds the others. Blocks are read-only: one
+    list may be yielded for several blocks."""
+    q, n = group.q, len(forms)
     top, unit = q - 1, q**n
     values = (  # read by the plan once the state bound is checked
         [w * c for c in range(top)] + [w * top + (unit << i)]
         for i, w in enumerate(_weights(n, q))
     )
-    m, outer, plan = _tension_plan(g, group, max_states, values)
+    m, outer, plan = _plan(group, free, forms, max_states, values)
     fixed, base, columns, constants = [0] * m, 0, [], []
-    for a, b, inner, t in plan:
-        if b != outer:
-            (columns if inner else constants).append((a, b, t))
+    for outs, inner, t in plan:
+        if outs:
+            (columns if inner else constants).append((outs, inner, t))
         elif inner:
             fixed = list(map(add, fixed, t[0]))
         else:
             base += t[0]
-    for od in product(range(q), repeat=outer):
-        e = (*od, 0)
+    cut = len(columns)
+    for entries in _entries(group, outer, columns + constants):
         block = fixed
-        for a, b, t in columns:
-            block = list(map(add, block, t[e[a] * q + e[b]]))
-        c = base + sum([t[e[a] * q + e[b]] for a, b, t in constants])
+        for column in entries[:cut]:
+            block = list(map(add, block, column))
+        c = base + sum(entries[cut:])
         yield [x + c for x in block] if c else block
 
 
-def _packed_blocks(tuples, n: int, q: int):
-    """Code tuples over n positions packed as the blocks of
-    _tension_blocks, key + q^n*mask, up to _BLOCK tuples a block."""
-    weights, top = _weights(n, q), q - 1
-    bits = [q**n << i for i in range(n)]
-    tuples = iter(tuples)
-    while batch := list(islice(tuples, _BLOCK)):
-        yield [sum(map(mul, v, weights)) + sum(compress(bits, map(top.__eq__, v))) for v in batch]
+def _tensions(g, group: _Group, max_states):
+    """Tension code tuples over g.sorted_ids: _rows of _tension_forms."""
+    return _rows(group, *_tension_forms(g), max_states)
+
+
+def _tension_blocks(g, group: _Group, max_states):
+    """The tensions of _tensions, packed a block at a time by _blocks."""
+    return _blocks(group, *_tension_forms(g), max_states)
 
 
 def _circulations(g, group: _Group, max_states):
-    """Flow code tuples over g.sorted_ids. The records off the forest, by
-    ascending id, run lexicographically over the codes; each forest record,
-    leaves up, then balances the others at its vertex."""
-    q = group.q
-    _check_states(q ** cyclomatic_number(g), max_states)
-    stars, steps = g.stars, g.bfs[1]
-    forest = {i for _, _, i, _ in steps}
-    free = [i for i in range(len(g.sorted_ids)) if i not in forest]
-    # sign * x + sum s * y = 0 at w, so x takes -sign * s * y from each other y
-    solves = [
-        (i, [(j, s == sign) for j, s in stars[w] if j != i])
-        for w, _, i, sign in reversed(steps)
-    ]
-    label, diff, neg = group.label, group.diff, group.neg
-    values = [0] * len(g.sorted_ids)
-    for assignment in product(range(q), repeat=len(free)):
-        for i, x in zip(free, assignment):
-            values[i] = x
-        for i, terms in solves:
-            x = 0
-            for j, minus in terms:
-                y = values[j]
-                x = diff[label[x] - label[y if minus else neg[y]]]
-            values[i] = x
-        yield tuple(values)
+    """Flow code tuples over g.sorted_ids: _rows of _flow_forms."""
+    return _rows(group, *_flow_forms(g), max_states)
 
 
 def _nz_flow(g, group: _Group, max_states) -> tuple[int, ...] | None:
@@ -661,10 +662,9 @@ def _sweep_order(g):
 
 def _packed_counts(blocks, n: int, q: int, max_work: int | None) -> Counter:
     """The first step of _conformal_sums: maps over n positions counted by
-    their packed values, key + q^n*mask as _tension_blocks and
-    _packed_blocks yield them. The work bound counts the box of each map,
-    (q-1)^|hot| conformal psi, and is checked for every block before the
-    block is counted."""
+    their packed values, key + q^n*mask as _blocks yields them. The work
+    bound counts the box of each map, (q-1)^|hot| conformal psi, and is
+    checked for every block before the block is counted."""
     bound = DEFAULT_TERM_BOUND if max_work is None else max_work
     box = [(q - 1) ** h for h in range(n + 1)]
     unit = q**n
@@ -866,8 +866,7 @@ def flow_conformal_table(
     """Like coefficient_table but aggregated over flows instead of
     tensions; used by the plane-duality report."""
     group = _zp(p)
-    blocks = _packed_blocks(_circulations(g, group, max_states), len(g.sorted_ids), p)
-    acc = _conformal_sums(g, blocks, p, max_states)
+    acc = _conformal_sums(g, _blocks(group, *_flow_forms(g), max_states), p, max_states)
     return ConformalTable(g.sorted_arc_ids, group.values, acc)
 
 

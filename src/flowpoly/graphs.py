@@ -300,7 +300,16 @@ def cyclomatic_number(g: Graph) -> int:
 
 def find_small_circuit(g: UndirectedGraph) -> Circuit | None:
     """A circuit of size <= 3 if one exists: loops first, then parallel
-    pairs, then triangles, each chosen by smallest edge ids."""
+    pairs, then triangles, each chosen by smallest edge ids, in canonical
+    form."""
+    walk = _small_circuit_walk(g)
+    return None if walk is None else walk.canonical()
+
+
+def _small_circuit_walk(g: UndirectedGraph) -> Circuit | None:
+    """The circuit of find_small_circuit as it is walked, a directed cycle:
+    a loop forward; a parallel pair the smaller id forward, then the other
+    back; a triangle by ascending vertex id."""
     loops = sorted(e.id for e in g.edges if e.is_loop)
     if loops:
         return Circuit(((loops[0], True),))
@@ -344,7 +353,7 @@ def find_small_circuit(g: UndirectedGraph) -> Circuit | None:
         eid = least[(min(a, b), max(a, b))]
         e = g.edge_by_id[eid]
         steps.append((eid, (e.u, e.v) == (a, b)))
-    return Circuit(tuple(steps)).canonical()
+    return Circuit(tuple(steps))
 
 
 def bridges(g: Graph) -> set[str]:

@@ -34,9 +34,9 @@ from .flows import (
     is_p_colorable,
 )
 from .graphs import (
-    Circuit,
     Digraph,
     UndirectedGraph,
+    _small_circuit_walk,
     contract,
     find_small_circuit,
     is_bridgeless,
@@ -80,36 +80,6 @@ class OrientationCertificate:
         }
 
 
-def _directed_cycle_flags(g: UndirectedGraph, circ: Circuit) -> tuple[tuple[str, bool], ...]:
-    """Deterministic directed-cycle orientation of a circuit of size <= 3.
-
-    Loops stay as stored; in a parallel pair the smaller edge id keeps its
-    stored order and the other opposes it; triangles are traversed by
-    ascending vertex id.
-    """
-    ids = sorted(circ.edge_ids)
-    if len(ids) == 1:
-        return ((ids[0], True),)
-    if len(ids) == 2:
-        e1 = g.edge_by_id[ids[0]]
-        e2 = g.edge_by_id[ids[1]]
-        # oppose e2 to e1: e1 runs u -> v, so e2 must run v -> u
-        keep2 = (e2.u, e2.v) == (e1.v, e1.u)
-        return ((e1.id, True), (e2.id, keep2))
-    verts = sorted({w for eid in ids for w in g.edge_by_id[eid].ends()})
-    u, v, w = verts
-    flags = []
-    for a, b in ((u, v), (v, w), (w, u)):
-        eid = next(
-            e
-            for e in ids
-            if set(g.edge_by_id[e].ends()) == {a, b}
-        )
-        e = g.edge_by_id[eid]
-        flags.append((eid, (e.u, e.v) == (a, b)))
-    return tuple(flags)
-
-
 def chordal_orientation(g: UndirectedGraph) -> OrientationCertificate:
     """Orient a bridgeless chordal graph so that the zero map is its only
     0-conformal dual four-flow; certificate carries the contraction trace.
@@ -123,16 +93,16 @@ def chordal_orientation(g: UndirectedGraph) -> OrientationCertificate:
     flags: dict[str, bool] = {}
     current = g
     while current.edges:
-        circ = find_small_circuit(current)
+        circ = _small_circuit_walk(current)
         if circ is None:
             raise PreconditionError(
                 "no circuit of size <= 3 in a nonempty contraction; "
                 "the inductive assumption failed for the graph with edges "
                 f"{current.sorted_edge_ids}"
             )
-        directions = _directed_cycle_flags(current, circ)
-        steps.append(OrientationStep(tuple(sorted(circ.edge_ids)), directions))
-        for eid, keep in directions:
+        # walked as found, the circuit is a directed cycle: its steps are the flags
+        steps.append(OrientationStep(tuple(sorted(circ.edge_ids)), circ.steps))
+        for eid, keep in circ.steps:
             flags[eid] = keep
         current = contract(current, circ.edge_ids)
 

@@ -22,7 +22,11 @@ coefficient table.
 product_tensions builds every tension afresh from a product over the
 potentials; the package builds each record's column of codes over the
 last free vertices once, by list repetition, and picks the columns of each
-block by the potentials of the others. is_dual_flow_by_circuits is the definition of a
+block by the potentials of the others. product_circulations runs the
+free records over a product and solves the forest records of every tuple
+afresh, leaves up; the package solves each forest record once, as a
+signed sum of free codes, and builds circulations by the same blocks.
+is_dual_flow_by_circuits is the definition of a
 tension, a zero sum around every circuit; the package grows potentials.
 """
 
@@ -34,7 +38,7 @@ from itertools import product
 from flowpoly.errors import DEFAULT_TERM_BOUND
 from flowpoly.flows import _check_states, _count_conformal, _tensions
 from flowpoly.fourflow import KLEIN, _KLEIN_GROUP, KleinMap, xvar, yvar
-from flowpoly.graphs import circuits
+from flowpoly.graphs import circuits, cyclomatic_number
 from flowpoly.polynomials import Poly
 
 
@@ -262,6 +266,35 @@ def product_tensions(g, group, max_states):
     # a[-1] = 0 is the label of every root's potential
     for a in product(*[group.label] * len(free), (0,)):
         yield tuple([diff[a[h] - a[t]] for h, t in pairs])
+
+
+def product_circulations(g, group, max_states):
+    """The flow code tuples of flows._circulations, in the same order. The
+    records off the forest, by ascending id, run lexicographically over
+    the codes; for each tuple every forest record, leaves up, then
+    balances the others at its vertex."""
+    q = group.q
+    _check_states(q ** cyclomatic_number(g), max_states)
+    stars, steps = g.stars, g.bfs[1]
+    forest = {i for _, _, i, _ in steps}
+    free = [i for i in range(len(g.sorted_ids)) if i not in forest]
+    # sign * x + sum s * y = 0 at w, so x takes -sign * s * y from each other y
+    solves = [
+        (i, [(j, s == sign) for j, s in stars[w] if j != i])
+        for w, _, i, sign in reversed(steps)
+    ]
+    label, diff, neg = group.label, group.diff, group.neg
+    values = [0] * len(g.sorted_ids)
+    for assignment in product(range(q), repeat=len(free)):
+        for i, x in zip(free, assignment):
+            values[i] = x
+        for i, terms in solves:
+            x = 0
+            for j, minus in terms:
+                y = values[j]
+                x = diff[label[x] - label[y if minus else neg[y]]]
+            values[i] = x
+        yield tuple(values)
 
 
 def is_dual_flow_by_circuits(g, phi) -> bool:

@@ -124,6 +124,13 @@ class TestConformal:
         data = json.loads(out)
         assert (data["even"], data["odd"], data["c"]) == (3, 0, 3)
 
+    def test_text_counts(self, capsys, corpus_dir):
+        argv = ("conformal", "-p", 3, "--psi", corpus_dir / "example_psi_110.map")
+        code, out, _ = run(capsys, *argv, corpus_dir / "example.g")
+        assert code == 0 and out == "3 even, 0 odd conformal flows; c(psi) = 3\n"
+        code, out, _ = run(capsys, *argv, "--dual", corpus_dir / "example.g")
+        assert code == 0 and out == "1 even, 0 odd conformal dual flows; c(psi) = 1\n"
+
 
 class TestCoeffTable:
     def test_golden(self, capsys, corpus_dir):
@@ -241,6 +248,14 @@ class TestColor:
         assert code == 0
         data = json.loads(out)
         assert data["coloring"] == {"v1": 0, "v2": 1}
+
+    def test_from_dual_flow_text(self, capsys, corpus_dir):
+        code, out, _ = run(
+            capsys, "color", "-p", 3,
+            "--from-dual-flow", corpus_dir / "example_tension_121.map",
+            corpus_dir / "example.g",
+        )
+        assert code == 0 and out == "v1=0; v2=1\n"
 
 
 class TestVerify:

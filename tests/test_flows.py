@@ -25,7 +25,7 @@ from families import (
     small_multigraphs,
     triangle,
 )
-from oracles import is_dual_flow_by_circuits, product_tensions
+from oracles import is_dual_flow_by_circuits, product_circulations, product_tensions
 from flowpoly import flows
 from flowpoly.errors import BoundExceeded
 from flowpoly.formats import load_graph
@@ -35,8 +35,9 @@ from flowpoly.flows import (
     ZpMap,
     _certificate,
     _certificate_weights,
+    _blocks,
     _circulations,
-    _packed_blocks,
+    _flow_forms,
     _packed_counts,
     _sweep,
     _sweep_order,
@@ -378,33 +379,34 @@ BLOCK_GRAPHS = {
 }
 
 
-def packed_keys(g, group):
-    """The packed key of each tension of the product reference, in its order."""
-    q, n = group.q, len(g.sorted_ids)
-    return [
-        sum(c * q ** (n - 1 - i) for i, c in enumerate(t))
-        for t in product_tensions(g, group, None)
-    ]
+SPACES = {  # the tuples, the packed blocks and the reference of each space
+    "tensions": (_tensions, _tension_blocks, product_tensions),
+    "circulations": (
+        _circulations,
+        lambda g, group, bound: _blocks(group, *_flow_forms(g), bound),
+        product_circulations,
+    ),
+}
 
 
 class TestTensionBlocks:
-    """Blocks of q^k rows over the last free vertices, for any block size:
-    code tuples in the product reference's order, and packed counts equal
-    to a per-tuple count, in value and in insertion order."""
+    """Blocks of q^k rows over the last free codes, for any block size, in
+    both spaces: code tuples in the order of the space's reference, and
+    packed counts equal to a per-tuple count, in value and in insertion
+    order."""
 
     @staticmethod
     def check(g, group):
         q, n = group.q, len(g.sorted_ids)
-        expected = list(product_tensions(g, group, None))
-        assert list(_tensions(g, group, None)) == expected
-        packed = [x for block in _tension_blocks(g, group, None) for x in block]
-        keys = packed_keys(g, group)
-        masks = [sum(1 << i for i, c in enumerate(t) if c == q - 1) for t in expected]
-        assert packed == [k + q**n * mask for k, mask in zip(keys, masks)]
-        # the flow tables' packer: the same encoding of the same tuples
-        assert [x for block in _packed_blocks(expected, n, q) for x in block] == packed
-        acc = _packed_counts(_tension_blocks(g, group, None), n, q, None)
-        assert list(acc.items()) == list(Counter(packed).items())
+        for tuples, blocks, reference in SPACES.values():
+            expected = list(reference(g, group, None))
+            assert list(tuples(g, group, None)) == expected
+            packed = [x for block in blocks(g, group, None) for x in block]
+            keys = [sum(c * q ** (n - 1 - i) for i, c in enumerate(t)) for t in expected]
+            masks = [sum(1 << i for i, c in enumerate(t) if c == q - 1) for t in expected]
+            assert packed == [k + q**n * mask for k, mask in zip(keys, masks)]
+            acc = _packed_counts(blocks(g, group, None), n, q, None)
+            assert list(acc.items()) == list(Counter(packed).items())
 
     @given(d=small_multigraphs(max_vertices=6, max_edges=7), block=st.sampled_from([1, "q", 256]))
     @settings(max_examples=100, deadline=None)
@@ -419,15 +421,18 @@ class TestTensionBlocks:
     @pytest.mark.parametrize("name", sorted(BLOCK_GRAPHS))
     @pytest.mark.parametrize("group,gname", GROUPS, ids=[n for _, n in GROUPS])
     def test_named_graphs(self, monkeypatch, name, group, gname, block):
-        # at _BLOCK 1 every free vertex is outer, at q one is inner
+        # at _BLOCK 1 every free code is outer, at q one is inner
         monkeypatch.setattr(flows, "_BLOCK", group.q if block == "q" else block)
         self.check(BLOCK_GRAPHS[name], group)
 
     def test_blocks_split_the_free_vertices(self):
-        # k5 at Z_5: four free vertices, three inner (125 rows), one outer
+        # k5 at Z_5: four free vertices, three inner (125 rows), one outer;
+        # six records off the forest, three inner, three outer
         d = BLOCK_GRAPHS["k5"]
         blocks = list(_tension_blocks(d, _zp(5), None))
         assert [len(b) for b in blocks] == [125] * 5
+        blocks = list(_blocks(_zp(5), *_flow_forms(d), None))
+        assert [len(b) for b in blocks] == [125] * 125
 
     def test_a_record_at_a_root_tabulates_one_row(self):
         # one arc from the root at Z_1009: a row of 1009 entries, where a
@@ -440,6 +445,19 @@ class TestTensionBlocks:
         finally:
             tracemalloc.stop()
         assert tensions == [(x,) for x in range(1009)]
+        assert peak < 2**22
+
+    def test_a_forest_record_tabulates_one_row(self):
+        # two parallel arcs at Z_1009: b is free and a, on the forest, its
+        # negative; a row of 1009 entries per record, no 1009^2 square
+        d = Digraph.build([("a", "u", "v"), ("b", "u", "v")])
+        tracemalloc.start()
+        try:
+            circulations = list(_circulations(d, _zp(1009), None))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert circulations == [(-x % 1009, x) for x in range(1009)]
         assert peak < 2**22
 
     @pytest.mark.parametrize("decide", [False, True])
