@@ -68,9 +68,30 @@ q^r(E-S) * (q-1)^|S| keys, r(E-S) being the rank of the records not yet
 swept. Sweeping a bridge of those records lowers the rank by one, any
 other arc leaves it as it is, so _sweep_order takes every bridge of the
 unswept records first (the frontier idea of Sekine, Imai and Tani, ISAAC
-1995, applied to elimination). On a graph with a bridge the first step
-already cancels every entry, and a sweep stops once no entry is left, so
-it searches for bridges once. Flow and tension tables sweep in this order.
+1995, applied to elimination). The sweep runs per piece (below): a piece
+has no bridge until one of its arcs is swept, and a bridge is a piece of
+its own, whose one step cancels all q of its maps. A sweep stops once no
+entry is left. Flow and tension tables sweep in this order.
+
+The conformal route runs per 2-connected piece of the graph, its `pieces`
+(see graphs; a loop and a bridge are pieces of their own). Every circuit
+lies in one piece, so the tensions and the circulations of a graph are
+the direct sums of its pieces', and c(psi) is the product of the pieces'
+c at psi's codes on their records, the factorization that makes the flow
+polynomial multiplicative over blocks (Tutte, Canad. J. Math. 6, 1954).
+_piece_counts counts the maps of each piece as a graph of its own, the
+pieces with the fewest counts are swept first, and _product moves each
+piece's keys to the graph's positions through _chunk_tables and
+multiplies the tables. A table is empty as soon as one piece's is, and no
+later piece is swept; a decider answers yes just when every piece has a
+nonzero entry. The "tension" and "flow" counts convolve the pieces'
+(even, odd) pairs, as their parities add. Every bound keeps its
+whole-graph meaning: the state bound is checked on q^(|V|-kappa), or q^beta
+for flows, before anything is built, and the work bound on the product of
+the pieces' box sums, which is the graph's total, with every piece counted
+before any is swept. A graph of one piece is its own, with no sub-graph
+and no remap. The "subset" count, brute force and the normal-form fold
+read the whole graph, so they stay references for the factored route.
 
 The conformal deciders need only whether some c(psi) is nonzero, so they
 read a certificate off the counted keys before any sweep. Position e has
@@ -87,9 +108,10 @@ a_e(psi_e) mod P: the sweep's own identity read through a product
 functional. S != 0 proves that some c(psi) is nonzero,
 and the decider answers yes. S = 0 proves nothing, since nonzero c(psi)
 may cancel mod P, so the counts are then swept as for a table and the
-answer is never a guess. A graph with a bridge has every c(psi) zero: its
-certificate is not read, and the sweep cancels every entry at its first
-step.
+answer is never a guess. The deciders read a certificate per piece. A
+bridge has every c(psi) zero: its q tensions give each code once, so its
+certificate is the sum of one weight row, 0 by construction, and its
+sweep cancels them at its one step.
 
 A table and a normal form are one packed object, _Packed: the sorted ids,
 q and the packed dict, with the length, the decoding and the text batches
@@ -495,11 +517,6 @@ def _tensions(g, group: _Group, max_states):
     return _rows(group, *_tension_forms(g), max_states)
 
 
-def _tension_blocks(g, group: _Group, max_states):
-    """The tensions of _tensions, packed a block at a time by _blocks."""
-    return _blocks(group, *_tension_forms(g), max_states)
-
-
 def _circulations(g, group: _Group, max_states):
     """Flow code tuples over g.sorted_ids: _rows of _flow_forms."""
     return _rows(group, *_flow_forms(g), max_states)
@@ -553,8 +570,7 @@ def _conformal_counts(
     the enumeration runs once for all the psis."""
     group, full = _zp(p), "tension" if dual else "flow"
     if method == "auto":
-        rank = len(g.vertices) - kappa(g) if dual else cyclomatic_number(g)
-        method = "subset" if 2 ** len(g.sorted_ids) < p**rank else full
+        method = "subset" if 2 ** len(g.sorted_ids) < p ** _rank(g, dual) else full
     if method == "subset":
         if dual:
             solve = _potentials(g, group)[1]
@@ -563,8 +579,14 @@ def _conformal_counts(
             test = _flow_test(g, group)
         return [_count_by_subsets(psi, p - 1, test, max_states) for psi in psis]
     if method == full:
-        maps = (_tensions if dual else _circulations)(g, group, max_states)
-        return _count_conformal(maps, psis, p - 1)
+        # per piece, then convolved: the parities of the pieces add up
+        _check_states(p ** _rank(g, dual), max_states)
+        counts = [(1, 0)] * len(psis)
+        for h, at in _split(g):
+            maps = (_tensions if dual else _circulations)(h, group, max_states)
+            part = _count_conformal(maps, [[psi[i] for i in at] for psi in psis], p - 1)
+            counts = [(e * e2 + o * o2, e * o2 + o * e2) for (e, o), (e2, o2) in zip(counts, part)]
+        return counts
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -643,13 +665,13 @@ def _convert(keys, tables, op=add):
 
 
 def _sweep_order(g):
-    """The positions of g.sorted_ids in the order the sweep of
-    _conformal_sums takes them: every bridge of the records not yet swept,
-    by ascending position, then the first record left, and again. Removing
-    a bridge leaves the other bridges as they were, so each search for
-    bridges is followed by one non-bridge, at most cyclomatic number + 1
-    searches in all. A generator: nothing is searched until the sweep
-    asks for its first position."""
+    """The positions of g.sorted_ids in the order _sweep takes them: every
+    bridge of the records not yet swept, by ascending position, then the
+    first record left, and again. Removing a bridge leaves the other
+    bridges as they were, so each search for bridges is followed by one
+    non-bridge, at most cyclomatic number + 1 searches in all. A
+    generator: nothing is searched until the sweep asks for its first
+    position."""
     ids = g.sorted_ids
     left = list(range(len(ids)))
     while left:
@@ -660,10 +682,11 @@ def _sweep_order(g):
             yield left.pop(0)
 
 
-def _packed_counts(blocks, n: int, q: int, max_work: int | None) -> Counter:
-    """The first step of _conformal_sums: maps over n positions counted by
-    their packed values, key + q^n*mask as _blocks yields them. The work
-    bound counts the box of each map, (q-1)^|hot| conformal psi, and is
+def _packed_counts(blocks, n: int, q: int, max_work: int | None, scale: int = 1):
+    """(counts, work): maps over n positions counted by their packed
+    values, key + q^n*mask as _blocks yields them, and the work, the sum of
+    the box of each map, (q-1)^|hot| conformal psi. The work bound holds
+    the work times scale, the work of the pieces counted before, and is
     checked for every block before the block is counted."""
     bound = DEFAULT_TERM_BOUND if max_work is None else max_work
     box = [(q - 1) ** h for h in range(n + 1)]
@@ -672,19 +695,19 @@ def _packed_counts(blocks, n: int, q: int, max_work: int | None) -> Counter:
     work = 0
     for block in blocks:
         work += sum([box[(x // unit).bit_count()] for x in block])
-        if work > bound:
+        if work * scale > bound:
             raise BoundExceeded(f"conformal aggregation exceeds {bound} steps")
         acc.update(block)
-    return acc
+    return acc, work
 
 
 def _sweep(g, owned: list[dict[int, int]], q: int) -> dict[int, int]:
-    """The second step of _conformal_sums: the top code swept out of the
-    packed counts over g.sorted_ids, in the order of _sweep_order(g),
-    until no entry is left. The counts are grouped by hot set, the mask
-    above q^n in each packed value, and each step spreads only the groups
-    whose mask holds its position, into the group without that bit. The
-    table is what is left in group 0, whose packed values are the keys.
+    """The top code swept out of the packed counts over g.sorted_ids, in
+    the order of _sweep_order(g), until no entry is left. The counts are
+    grouped by hot set, the mask above q^n in each packed value, and each
+    step spreads only the groups whose mask holds its position, into the
+    group without that bit. The table is what is left in group 0, whose
+    packed values are the keys.
     The counts come as the one item of `owned`, which the sweep takes
     out, so once they are grouped no reference is left and they are
     freed. A caller's argument of its own would not do: CPython 3.10
@@ -726,12 +749,82 @@ def _spread(into: dict[int, int], hot, w: int, lo: int, hi: int) -> None:
                 del into[k]
 
 
-def _conformal_sums(g, blocks, q: int, max_work: int | None) -> dict[int, int]:
-    """The packed table c(psi) of the maps over g.sorted_ids in the blocks
-    of _packed_counts: each map adds (-1)^|hot| at every psi agreeing with
-    it off its top codes. The maps are counted, then the top code is swept
-    out; the sweep order is first read once every map is counted."""
-    return _sweep(g, [_packed_counts(blocks, len(g.sorted_ids), q, max_work)], q)
+def _rank(g, dual: bool) -> int:
+    """The number of free codes of the tensions (dual) or circulations of
+    g: the space has q^rank maps."""
+    return len(g.vertices) - kappa(g) if dual else cyclomatic_number(g)
+
+
+def _split(g) -> list:
+    """(h, at) per 2-connected piece of g, in the order of g.pieces: h the
+    piece as a graph of g's kind, its records and their ends, and at the
+    positions of its records in g.sorted_ids. A graph of at most one piece
+    is its own, with no sub-graph built."""
+    if len(g.pieces) <= 1:
+        return [(g, range(len(g.sorted_ids)))]
+    ids, by_id, parts = g.sorted_ids, g.by_id, []
+    for at in g.pieces:
+        records = tuple([by_id[ids[i]] for i in at])
+        parts.append((type(g)(frozenset([w for r in records for w in r.ends()]), records), at))
+    return parts
+
+
+def _piece_counts(g, group: _Group, dual: bool, max_states) -> tuple[list, list]:
+    """(parts, counts): the pieces of _split(g) and, per piece, its
+    tensions (dual) or circulations over the group counted by
+    _packed_counts, alone in a list for _sweep to take. Every bound keeps
+    its whole-graph meaning: the state bound is checked on q^rank of g
+    before anything is built, and the work bound on the product of the
+    pieces' work, which is g's, as each piece is counted; every piece is
+    counted before the caller reads any."""
+    q = group.q
+    _check_states(q ** _rank(g, dual), max_states)
+    parts, counts, work = _split(g), [], 1
+    for h, _ in parts:
+        blocks = _blocks(group, *(_tension_forms if dual else _flow_forms)(h), max_states)
+        acc, w = _packed_counts(blocks, len(h.sorted_ids), q, max_states, work)
+        counts.append([acc])
+        work *= w
+    return parts, counts
+
+
+def _cheapest_first(counts) -> list[int]:
+    """The pieces of _piece_counts, fewest counted values first."""
+    return sorted(range(len(counts)), key=lambda j: len(counts[j][0]))
+
+
+def _product(g, parts, tables, q: int) -> dict[int, int]:
+    """The packed table of g from the tables of its pieces: every circuit
+    lies in one piece, so each space is the direct sum of the pieces' and
+    c(psi) is the product of the pieces' c at psi's codes on their records.
+    Each piece's keys move to g's positions through _chunk_tables, and the
+    keys of a product add, as their digits do not overlap."""
+    if len(parts) == 1:
+        return tables[0]
+    weights, acc = _weights(len(g.sorted_ids), q), {0: 1}
+    for (_, at), table in zip(parts, tables):
+        cell = lambda start, digits, at=at: sum(
+            [d * weights[at[start + j]] for j, d in enumerate(digits)]
+        )
+        keys = _convert(table, _chunk_tables(len(at), q, cell, len(table)))
+        moved = list(zip(keys, table.values()))
+        acc = {k + x: c * v for k, c in acc.items() for x, v in moved}
+    return acc
+
+
+def _conformal_sums(g, group: _Group, dual: bool, max_states) -> dict[int, int]:
+    """The packed table c(psi) of the tensions (dual) or circulations of g
+    over the group: each map adds (-1)^|hot| at every psi agreeing with it
+    off its top codes. Per piece the maps are counted, then the top code is
+    swept out, the pieces with the fewest counts first; the table is the
+    product of the pieces' tables, empty as soon as one piece's is."""
+    parts, counts = _piece_counts(g, group, dual, max_states)
+    tables = [None] * len(parts)
+    for j in _cheapest_first(counts):
+        tables[j] = _sweep(parts[j][0], counts[j], group.q)
+        if not tables[j]:
+            return {}
+    return _product(g, parts, tables, group.q)
 
 
 _P = 2**61 - 1  # a Mersenne prime, the modulus of the certificate
@@ -771,14 +864,18 @@ def _certificate(acc: dict[int, int], n: int, q: int) -> int:
 
 
 def _has_conformal_entry(g, group: _Group, max_states) -> bool:
-    """Whether the tension table of g over the group has a nonzero entry:
-    yes on a nonzero certificate, else the answer of the sweep. A graph
-    with a bridge has no nonzero entry, so its certificate is not read."""
-    q, n = group.q, len(g.sorted_ids)
-    counts = [_packed_counts(_tension_blocks(g, group, max_states), n, q, max_states)]
-    if not bridges(g) and _certificate(counts[0], n, q):
-        return True
-    return bool(_sweep(g, counts, q))
+    """Whether the tension table of g over the group has a nonzero entry,
+    that is whether every piece's table has: yes for a piece on a nonzero
+    certificate, else the answer of its sweep, the pieces with the fewest
+    counts first. A bridge's certificate reads 0, as each weight row sums
+    to 0, and its sweep cancels its q tensions."""
+    q = group.q
+    parts, counts = _piece_counts(g, group, True, max_states)
+    for j in _cheapest_first(counts):
+        h = parts[j][0]
+        if not _certificate(counts[j][0], len(h.sorted_ids), q) and not _sweep(h, counts[j], q):
+            return False
+    return True
 
 
 class _Packed:
@@ -846,7 +943,7 @@ class ConformalTable(_Packed, Mapping):
 
 def _tension_sums(g, group: _Group, max_states) -> dict[int, int]:
     """The packed conformal table of the tensions of g over the group."""
-    return _conformal_sums(g, _tension_blocks(g, group, max_states), group.q, max_states)
+    return _conformal_sums(g, group, True, max_states)
 
 
 def coefficient_table(g: Digraph, p: int, max_states: int | None = None) -> ConformalTable:
@@ -866,7 +963,7 @@ def flow_conformal_table(
     """Like coefficient_table but aggregated over flows instead of
     tensions; used by the plane-duality report."""
     group = _zp(p)
-    acc = _conformal_sums(g, _blocks(group, *_flow_forms(g), max_states), p, max_states)
+    acc = _conformal_sums(g, group, False, max_states)
     return ConformalTable(g.sorted_arc_ids, group.values, acc)
 
 

@@ -15,8 +15,9 @@ forest. Caching them is safe because a graph never changes after it is
 built. Components, kappa and the cyclomatic number read that search, and
 so do the group-generic enumerations and the normal-form fold, which take
 the graph itself whatever its kind. The stars are the one incidence
-structure: bridges walks them too, and code that needs each record once
-reads the records themselves.
+structure: the lowpoint search of `pieces`, the 2-connected pieces that
+bridges and the conformal route of flows read, walks them too, and code
+that needs each record once reads the records themselves.
 """
 
 from __future__ import annotations
@@ -136,6 +137,51 @@ class _Multigraph:
                         queue.append(w)
             comps.append(tuple(sorted(queue)))
         return tuple(comps), tuple(steps)
+
+    @cached_property
+    def pieces(self) -> tuple[tuple[int, ...], ...]:
+        """The 2-connected pieces: the records split so that two share a
+        piece just when some circuit holds both. Each piece is the ascending
+        positions of its records in sorted_ids, and the pieces are ordered
+        by their least position. A loop is a piece of its own, and so is a
+        bridge. One lowpoint depth-first search over the stars (Hopcroft
+        and Tarjan, CACM 1973): each record walked is stacked, a tree record
+        on the way down and one back to an ancestor from its lower end, and
+        a vertex whose subtree reaches no higher than its parent closes a
+        piece, the records stacked since it was entered."""
+        ends = [self.by_id[r].ends() for r in self.sorted_ids]
+        found = [(i,) for i, (a, b) in enumerate(ends) if a == b]
+        disc: dict[str, int] = {}
+        low: dict[str, int] = {}
+        walked: list[int] = []
+        for root in self.sorted_vertices:
+            if root in disc:
+                continue
+            disc[root] = low[root] = len(disc)
+            # a frame: the vertex, the record it was entered by, the height
+            # of the stack below that record, and the rest of its star
+            stack = [(root, -1, 0, iter(self.stars[root]))]
+            while stack:
+                v, entered, mark, star = stack[-1]
+                for i, s in star:
+                    w = ends[i][s < 0]
+                    if w not in disc:
+                        disc[w] = low[w] = len(disc)
+                        stack.append((w, i, len(walked), iter(self.stars[w])))
+                        walked.append(i)
+                        break
+                    if disc[w] < disc[v] and i != entered:
+                        walked.append(i)
+                        low[v] = min(low[v], disc[w])
+                else:
+                    stack.pop()
+                    if stack:
+                        u = stack[-1][0]
+                        low[u] = min(low[u], low[v])
+                        if low[v] >= disc[u]:
+                            found.append(tuple(sorted(walked[mark:])))
+                            del walked[mark:]
+        return tuple(sorted(found))
 
 
 @dataclass(frozen=True)
@@ -358,39 +404,10 @@ def _small_circuit_walk(g: UndirectedGraph) -> Circuit | None:
 
 def bridges(g: Graph) -> set[str]:
     """Ids of the records whose removal disconnects their component, for
-    either graph kind: orientation plays no part. Loops and parallel
-    records never qualify."""
-    ends = [g.by_id[r].ends() for r in g.sorted_ids]
-    disc: dict[str, int] = {}
-    low: dict[str, int] = {}
-    out: set[str] = set()
-    for root in g.sorted_vertices:
-        if root in disc:
-            continue
-        # iterative DFS over the stars; each frame holds its parent and the
-        # position of the record it entered by, which alone is not walked back
-        stack: list[tuple[str, str | None, int, int]] = [(root, None, -1, 0)]
-        disc[root] = low[root] = len(disc)
-        while stack:
-            v, parent, entered, idx = stack.pop()
-            star = g.stars[v]
-            if idx < len(star):
-                stack.append((v, parent, entered, idx + 1))
-                i, s = star[idx]
-                if i == entered:
-                    continue
-                w = ends[i][s < 0]
-                if w not in disc:
-                    disc[w] = low[w] = len(disc)
-                    stack.append((w, v, i, 0))
-                else:
-                    low[v] = min(low[v], disc[w])
-            elif parent is not None:
-                # leaving v: fold its low value into the parent
-                low[parent] = min(low[parent], low[v])
-                if low[v] > disc[parent]:
-                    out.add(g.sorted_ids[entered])
-    return out
+    either graph kind: the pieces of one record that is not a loop.
+    Orientation plays no part. Loops and parallel records never qualify."""
+    ids = g.sorted_ids
+    return {ids[i] for i, *more in g.pieces if not more and not g.by_id[ids[i]].is_loop}
 
 
 def is_bridgeless(g: UndirectedGraph) -> bool:

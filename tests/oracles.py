@@ -28,6 +28,9 @@ afresh, leaves up; the package solves each forest record once, as a
 signed sum of free codes, and builds circulations by the same blocks.
 is_dual_flow_by_circuits is the definition of a
 tension, a zero sum around every circuit; the package grows potentials.
+pieces_by_circuits splits the records by the definition of a 2-connected
+piece, two records sharing one just when some circuit holds both, over
+every record subset; the package runs one lowpoint depth-first search.
 """
 
 from __future__ import annotations
@@ -305,3 +308,42 @@ def is_dual_flow_by_circuits(g, phi) -> bool:
         sum(phi[a] if forward else -phi[a] for a, forward in c.steps) % phi.p == 0
         for c in circuits(g)
     )
+
+
+def pieces_by_circuits(g) -> tuple[tuple[int, ...], ...]:
+    """The 2-connected pieces of g by their definition, as positions in
+    g.sorted_ids: two records share a piece just when some circuit holds
+    both, and a record on no circuit is a piece alone. A circuit is a
+    nonempty record subset, connected, with every vertex it touches at
+    degree 2, a loop counting twice; so a loop is a circuit alone, and on
+    no other. Every subset is tried, so g must be small."""
+    ends = [g.by_id[r].ends() for r in g.sorted_ids]
+    n = len(ends)
+    piece = list(range(n))  # union-find over positions
+
+    def find(i):
+        while piece[i] != i:
+            i = piece[i]
+        return i
+
+    for mask in range(1, 2**n):
+        subset = [i for i in range(n) if mask >> i & 1]
+        degree = {}
+        for i in subset:
+            for w in ends[i]:
+                degree[w] = degree.get(w, 0) + 1
+        if set(degree.values()) != {2}:
+            continue
+        reached, todo = set(), [ends[subset[0]][0]]
+        while todo:
+            v = todo.pop()
+            if v not in reached:
+                reached.add(v)
+                todo += [w for i in subset if v in ends[i] for w in ends[i]]
+        if reached == set(degree):
+            for i in subset:
+                piece[find(i)] = find(subset[0])
+    classes = {}
+    for i in range(n):
+        classes.setdefault(find(i), []).append(i)
+    return tuple(sorted(tuple(c) for c in classes.values()))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from families import (
     all_connected_multigraphs,
+    bowtie_graph,
     complete,
     default_orientation,
     directed_cycle,
@@ -40,8 +41,11 @@ from flowpoly.flows import (
     _flow_forms,
     _packed_counts,
     _sweep,
+    _conformal_counts,
+    _conformal_sums,
     _sweep_order,
-    _tension_blocks,
+    _split,
+    _tension_forms,
     _tension_sums,
     _tensions,
     _zp,
@@ -71,6 +75,7 @@ from flowpoly.fourflow import (
     enumerate_dual_four_flows,
     enumerate_klein_circulations,
     find_nz_four_flow,
+    four_flow_coefficient_table,
     has_nz_four_flow,
 )
 from flowpoly.graphs import (
@@ -380,7 +385,11 @@ BLOCK_GRAPHS = {
 
 
 SPACES = {  # the tuples, the packed blocks and the reference of each space
-    "tensions": (_tensions, _tension_blocks, product_tensions),
+    "tensions": (
+        _tensions,
+        lambda g, group, bound: _blocks(group, *_tension_forms(g), bound),
+        product_tensions,
+    ),
     "circulations": (
         _circulations,
         lambda g, group, bound: _blocks(group, *_flow_forms(g), bound),
@@ -405,7 +414,7 @@ class TestTensionBlocks:
             keys = [sum(c * q ** (n - 1 - i) for i, c in enumerate(t)) for t in expected]
             masks = [sum(1 << i for i, c in enumerate(t) if c == q - 1) for t in expected]
             assert packed == [k + q**n * mask for k, mask in zip(keys, masks)]
-            acc = _packed_counts(blocks(g, group, None), n, q, None)
+            acc, _ = _packed_counts(blocks(g, group, None), n, q, None)
             assert list(acc.items()) == list(Counter(packed).items())
 
     @given(d=small_multigraphs(max_vertices=6, max_edges=7), block=st.sampled_from([1, "q", 256]))
@@ -429,7 +438,7 @@ class TestTensionBlocks:
         # k5 at Z_5: four free vertices, three inner (125 rows), one outer;
         # six records off the forest, three inner, three outer
         d = BLOCK_GRAPHS["k5"]
-        blocks = list(_tension_blocks(d, _zp(5), None))
+        blocks = list(_blocks(_zp(5), *_tension_forms(d), None))
         assert [len(b) for b in blocks] == [125] * 5
         blocks = list(_blocks(_zp(5), *_flow_forms(d), None))
         assert [len(b) for b in blocks] == [125] * 125
@@ -477,8 +486,9 @@ class TestSweepOrder:
     @given(d=small_multigraphs(max_vertices=5, max_edges=6), p=st.integers(2, 4), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_any_order_gives_the_same_table(self, d, p, data):
-        # the tension tables of both groups and the flow table, swept in
-        # their own order, in the order of positions and in a random one
+        # the tension tables of both groups and the flow table, each piece
+        # swept in its own order, in the order of its positions and in a
+        # random one drawn per piece
         u = d.underlying()
         tables = (
             (d, lambda: _tension_sums(d, _zp(p), None)),
@@ -486,18 +496,19 @@ class TestSweepOrder:
             (u, lambda: _tension_sums(u, _KLEIN_GROUP, None)),
             (d, lambda: flow_conformal_table(d, p)._packed),
         )
+        shuffle = lambda h: iter(data.draw(st.permutations(range(len(h.records)))))
         for g, table in tables:
-            n = len(g.records)
-            order = list(_sweep_order(g))
-            assert sorted(order) == list(range(n))
+            for h, _ in _split(g):
+                order = list(_sweep_order(h))
+                assert sorted(order) == list(range(len(h.records)))
+                cut = bridges(h)
+                if cut:
+                    assert h.sorted_ids[order[0]] in cut
             expected = table()
-            for other in (range(n), data.draw(st.permutations(range(n)))):
+            for other in (lambda h: iter(range(len(h.records))), shuffle):
                 with pytest.MonkeyPatch.context() as m:
-                    m.setattr(flows, "_sweep_order", lambda g, other=other: iter(other))
+                    m.setattr(flows, "_sweep_order", other)
                     assert table() == expected
-            cut = bridges(g)
-            if cut:
-                assert g.sorted_ids[order[0]] in cut
 
     def test_bridges_first_then_the_first_record_left(self):
         # a triangle a, b, c with a pendant arc d: d is the only bridge;
@@ -516,9 +527,9 @@ class TestSweepOrder:
 
     @pytest.mark.parametrize("group", [3, "Klein"])
     def test_an_empty_table_ends_the_sweep(self, monkeypatch, group):
-        # k4 with a pendant arc: the first step, at the bridge, cancels
-        # every entry, so the sweep searches for bridges once; the decider
-        # searches g itself first, for its gate
+        # k4 with a pendant arc: the pendant arc is a piece of its own with
+        # the fewest counts, swept first; its table is empty, so the k4
+        # piece is never swept, by the table or by the decider
         d = Digraph.build(
             [("a", "0", "1"), ("b", "0", "2"), ("c", "0", "3"), ("d", "1", "2"),
              ("e", "1", "3"), ("f", "2", "3"), ("g", "3", "x")]
@@ -527,42 +538,158 @@ class TestSweepOrder:
             g, grp, decide = d.underlying(), _KLEIN_GROUP, lambda: has_nz_four_flow(g, "conformal")
         else:
             g, grp, decide = d, _zp(group), lambda: has_nz_flow_conformal(g, group)
-        searched, search = [], flows.bridges
-        monkeypatch.setattr(flows, "bridges", lambda h: searched.append(h is g) or search(h))
+        swept, sweep = [], flows._sweep
+        record = lambda h, *args: swept.append(h.sorted_ids) or sweep(h, *args)
+        monkeypatch.setattr(flows, "_sweep", record)
         assert _tension_sums(g, grp, None) == {}
-        assert searched == [False]
-        searched.clear()
+        assert swept == [("g",)]
+        swept.clear()
         assert not decide()
-        assert searched == [True, False]
+        assert swept == [("g",)]
 
     @pytest.mark.parametrize("route", [has_nz_flow_conformal, coefficient_table])
     def test_the_counts_are_dropped_once_the_sweep_starts(self, monkeypatch, route):
-        # k4 at Z_3 is bridgeless with no nowhere-zero flow, so its
-        # certificate reads 0 and the sweep decides; once the sweep has
-        # grouped the counts, before it draws its first position, nothing
-        # holds them. The sweep is called through a frame that keeps its
-        # arguments until the call returns, as a caller's frame does on
-        # CPython 3.10
-        counts, alive = [], []
-        packed_counts, sweep_order, sweep = flows._packed_counts, flows._sweep_order, flows._sweep
+        # once the sweep of a piece has grouped its counts, before it draws
+        # its first position, nothing holds them. The sweep is called
+        # through a frame that keeps its arguments until the call returns,
+        # as a caller's frame does on CPython 3.10. k4 at Z_3 is one piece
+        # with an empty table; the bowtie at Z_3 is two triangles with
+        # nonempty tables, each swept. The certificate reads 0, so that the
+        # decider sweeps every piece as the table does
+        alive, counts = [], {}
+        sweep_order, sweep = flows._sweep_order, flows._sweep
 
-        def held(*args):
-            return sweep(*args)
+        def held(h, owned, q):
+            counts[h.sorted_ids] = weakref.ref(owned[0])
+            return sweep(h, owned, q)
 
-        def count(*args):
-            acc = packed_counts(*args)
-            counts.append(weakref.ref(acc))
-            return acc
+        def order(h):
+            alive.append(counts[h.sorted_ids]() is not None)
+            yield from sweep_order(h)
 
-        def order(g):
-            alive.append(counts[0]() is not None)
-            yield from sweep_order(g)
-
-        monkeypatch.setattr(flows, "_packed_counts", count)
+        monkeypatch.setattr(flows, "_certificate", lambda acc, n, q: 0)
         monkeypatch.setattr(flows, "_sweep_order", order)
         monkeypatch.setattr(flows, "_sweep", held)
         assert not route(default_orientation(complete(4)), 3)
         assert alive == [False]
+        alive.clear()
+        assert route(default_orientation(bowtie_graph()), 3)
+        assert alive == [False, False]
+
+
+def _pendant_k4() -> Digraph:
+    """k4 with a pendant arc: two pieces, the k4 and the bridge."""
+    return Digraph.build(
+        [("a", "0", "1"), ("b", "0", "2"), ("c", "0", "3"), ("d", "1", "2"),
+         ("e", "1", "3"), ("f", "2", "3"), ("g", "3", "x")]
+    )
+
+
+def _box_table(g, maps, q) -> dict[int, int]:
+    """The packed table c(psi) of a whole-graph space by its definition:
+    each map adds (-1)^|hot| at every psi in its box, the codes below the
+    top at each of its top positions."""
+    n, table = len(g.sorted_ids), Counter()
+    for t in maps:
+        hot = t.count(q - 1)
+        for psi in product(*[range(q - 1) if c == q - 1 else (c,) for c in t]):
+            table[sum(c * q ** (n - 1 - i) for i, c in enumerate(psi))] += (-1) ** hot
+    return {k: c for k, c in table.items() if c}
+
+
+class TestPieces:
+    """The conformal route runs per 2-connected piece: tables, deciders and
+    the "tension" and "flow" counts, against whole-graph references. The
+    references (the box expansion of product_tensions and
+    product_circulations, and the "subset" count) read the whole graph.
+    Since the route now multiplies over the pieces itself, a check that
+    the tables multiply over the blocks of G can no longer catch a fault
+    in it; only the fold and brute force stay open to that check."""
+
+    @given(d=small_multigraphs(), group=st.sampled_from([2, 3, 4, 5, "Klein"]))
+    @settings(max_examples=150, deadline=None)
+    def test_tables_and_deciders_match_whole_graph_references(self, d, group):
+        # loops, parallel arcs, isolated vertices and several components
+        if group == "Klein":
+            g, grp = d.underlying(), _KLEIN_GROUP
+            answer = has_nz_four_flow(g, "conformal")
+        else:
+            g, grp = d, _zp(group)
+            answer = has_nz_flow_conformal(g, group)
+        tensions = _box_table(g, product_tensions(g, grp, None), grp.q)
+        assert _tension_sums(g, grp, None) == tensions
+        assert answer == bool(tensions)
+        flows_ = _box_table(g, product_circulations(g, grp, None), grp.q)
+        assert _conformal_sums(g, grp, False, None) == flows_
+
+    @given(d=small_multigraphs(), p=st.integers(2, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_counts_match_the_subset_method(self, d, p):
+        psis = list(product(range(p - 1), repeat=len(d.sorted_ids)))
+        for dual, full in ((True, "tension"), (False, "flow")):
+            expected = _conformal_counts(d, p, psis, dual, "subset", None)
+            assert _conformal_counts(d, p, psis, dual, full, None) == expected
+
+    @pytest.mark.parametrize("name", ["bowtie", "pendant k4"])
+    @pytest.mark.parametrize("group", [3, 5, "Klein"])
+    def test_work_bound_is_exact_on_several_pieces(self, name, group):
+        # the bound counts the conformal box of every whole-graph tension,
+        # (q-1)^|hot|, the product of the pieces' box sums
+        d = default_orientation(bowtie_graph()) if name == "bowtie" else _pendant_k4()
+        if group == "Klein":
+            g, grp = d.underlying(), _KLEIN_GROUP
+            runs = (
+                lambda bound: four_flow_coefficient_table(g, bound),
+                lambda bound: has_nz_four_flow(g, "conformal", max_states=bound),
+            )
+        else:
+            g, grp = d, _zp(group)
+            runs = (
+                lambda bound: coefficient_table(g, group, bound),
+                lambda bound: has_nz_flow_conformal(g, group, bound),
+            )
+        assert len(g.pieces) == 2
+        top = grp.q - 1
+        work = sum(top ** t.count(top) for t in product_tensions(g, grp, None))
+        message = f"^conformal aggregation exceeds {work - 1} steps$"
+        for run in runs:
+            run(work)
+            with pytest.raises(BoundExceeded, match=message):
+                run(work - 1)
+
+    def test_the_state_bound_reads_the_whole_graph(self):
+        # the bowtie: 3^4 = 81 tensions at Z_3, 4^4 = 256 Klein tensions
+        # and 3^2 = 9 circulations at Z_3, where each triangle has 9, 16
+        # and 3
+        d = default_orientation(bowtie_graph())
+        psi = ZpMap(3, {a: 0 for a in d.sorted_arc_ids})
+        tension_routes = (
+            lambda bound: coefficient_table(d, 3, bound),
+            lambda bound: has_nz_flow_conformal(d, 3, bound),
+            lambda bound: count_conformal_dual_flows(d, psi, 3, "tension", bound),
+        )
+        for run in tension_routes:
+            with pytest.raises(BoundExceeded, match="^81 states exceed the bound 80$"):
+                run(80)
+        u = d.underlying()
+        for run in (
+            lambda bound: four_flow_coefficient_table(u, bound),
+            lambda bound: has_nz_four_flow(u, "conformal", max_states=bound),
+        ):
+            with pytest.raises(BoundExceeded, match="^256 states exceed the bound 255$"):
+                run(255)
+        for run in (
+            lambda bound: flow_conformal_table(d, 3, bound),
+            lambda bound: count_conformal_flows(d, psi, 3, "flow", bound),
+        ):
+            with pytest.raises(BoundExceeded, match="^9 states exceed the bound 8$"):
+                run(8)
+
+    def test_one_piece_builds_no_sub_graph(self):
+        g = default_orientation(complete(4))
+        assert _split(g) == [(g, range(6))]
+        h = Digraph(frozenset({"u", "v", "w"}), ())
+        assert _split(h) == [(h, range(0))]
 
 
 class TestConformalRouteRejectsSmallModuli:
@@ -698,8 +825,6 @@ class TestCoefficientTable:
         # same identity quantified over every psi on 6-edge graphs
         from itertools import product
 
-        from families import bowtie_graph
-
         cases = [
             (default_orientation(complete(4)), (3, 4)),
             (default_orientation(bowtie_graph()), (3,)),
@@ -766,7 +891,8 @@ class TestConformalCertificate:
             answer = has_nz_flow_conformal(g, group)
         table = _tension_sums(g, grp, None)
         assert answer == bool(table)
-        acc = _packed_counts(_tension_blocks(g, grp, None), len(g.sorted_ids), grp.q, None)
+        blocks = _blocks(grp, *_tension_forms(g), None)
+        acc, _ = _packed_counts(blocks, len(g.sorted_ids), grp.q, None)
         if _certificate(acc, len(g.sorted_ids), grp.q):
             assert table
 

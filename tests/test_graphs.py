@@ -32,7 +32,7 @@ from flowpoly.graphs import (
     orient,
     reverse_arcs,
 )
-from oracles import dfs_components
+from oracles import dfs_components, pieces_by_circuits
 
 
 KINDS = pytest.mark.parametrize(
@@ -257,6 +257,37 @@ class TestBridges:
         # orientation plays no part: a digraph has the bridges of its
         # underlying graph
         assert bridges(d) == bridges(d.underlying())
+
+
+class TestPieces:
+    """The 2-connected pieces of the lowpoint search against their
+    definition: two records share a piece just when a circuit holds both."""
+
+    @given(d=small_multigraphs(max_vertices=5, max_edges=8))
+    @settings(max_examples=200, deadline=None)
+    def test_against_the_circuit_oracle(self, d):
+        # loops, parallel arcs, isolated vertices and several components
+        expected = pieces_by_circuits(d)
+        for g in (d, d.underlying()):
+            assert g.pieces == expected
+            loops = {(i,) for i, r in enumerate(g.sorted_ids) if g.by_id[r].is_loop}
+            alone = {g.sorted_ids[i] for i, *more in expected if not more and (i,) not in loops}
+            assert bridges(g) == alone
+
+    def test_named_shapes(self):
+        bowtie = UndirectedGraph.build(
+            [("e1", "a", "b"), ("e2", "a", "c"), ("e3", "b", "c"),
+             ("e4", "c", "d"), ("e5", "c", "f"), ("e6", "d", "f")]
+        )
+        assert bowtie.pieces == ((0, 1, 2), (3, 4, 5))
+        # a loop, a parallel pair and a pendant edge at one vertex
+        g = UndirectedGraph.build(
+            [("a", "u", "u"), ("b", "u", "v"), ("c", "v", "u"), ("d", "u", "w")]
+        )
+        assert g.pieces == ((0,), (1, 2), (3,))
+        assert bridges(g) == {"d"}
+        assert UndirectedGraph(frozenset({"v"}), ()).pieces == ()
+        assert complete(4).pieces == (tuple(range(6)),)
 
 
 def _chordal_oracle(g: UndirectedGraph) -> bool:
