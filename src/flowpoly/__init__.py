@@ -6,9 +6,10 @@ brute-force enumeration), provides the Klein four-flow variant, plane
 duality through rotation systems, and the constructive orientation of
 bridgeless chordal graphs. Everything is exact integer arithmetic.
 
-Every route runs on code tuples and packed integer keys. Poly, normalize,
-flow_polynomial_raw and cyclotomic_eval are the expanded Z_p references
-that the packed fold and the evaluator are tested against.
+Every route runs on code tuples and packed integer keys, and a normal form
+comes only from a graph. Poly, flow_polynomial_raw and cyclotomic_eval are
+the expanded Z_p references that the packed fold and the evaluator are
+tested against.
 """
 
 from .cyclotomic import CyclotomicInt, cyclotomic_eval, cyclotomic_polynomial
@@ -41,7 +42,6 @@ from .flows import (
 from .fourflow import (
     KleinMap,
     PairQuotientPoly,
-    enumerate_dual_four_flows,
     enumerate_klein_circulations,
     find_nz_four_flow,
     four_flow_coefficient_table,
@@ -72,7 +72,6 @@ from .quotient import (
     flow_polynomial_normal_form,
     flow_polynomial_raw,
     has_nz_flow_membership,
-    normalize,
     surplus_eval,
 )
 from .structure import (

@@ -87,11 +87,12 @@ later piece is swept; a decider answers yes just when every piece has a
 nonzero entry. The "tension" and "flow" counts convolve the pieces'
 (even, odd) pairs, as their parities add. Every bound keeps its
 whole-graph meaning: the state bound is checked on q^(|V|-kappa), or q^beta
-for flows, before anything is built, and the work bound on the product of
-the pieces' box sums, which is the graph's total, with every piece counted
-before any is swept. A graph of one piece is its own, with no sub-graph
-and no remap. The "subset" count, brute force and the normal-form fold
-read the whole graph, so they stay references for the factored route.
+for flows, and on q when the graph has a record, before anything is
+built, and the work bound on the product of the pieces' box sums, which
+is the graph's total, with every piece counted before any is swept. A
+graph of one piece is its own, with no sub-graph and no remap. The
+"subset" count, brute force and the normal-form fold read the whole
+graph, so they stay references for the factored route.
 
 The conformal deciders need only whether some c(psi) is nonzero, so they
 read a certificate off the counted keys before any sweep. Position e has
@@ -774,11 +775,12 @@ def _piece_counts(g, group: _Group, dual: bool, max_states) -> tuple[list, list]
     tensions (dual) or circulations over the group counted by
     _packed_counts, alone in a list for _sweep to take. Every bound keeps
     its whole-graph meaning: the state bound is checked on q^rank of g
-    before anything is built, and the work bound on the product of the
-    pieces' work, which is g's, as each piece is counted; every piece is
-    counted before the caller reads any."""
+    before anything is built, and on q itself when g has a record, whose
+    packed values _blocks lists; the work bound is checked on the product
+    of the pieces' work, which is g's, as each piece is counted; every
+    piece is counted before the caller reads any."""
     q = group.q
-    _check_states(q ** _rank(g, dual), max_states)
+    _check_states(q ** max(_rank(g, dual), 1 if g.sorted_ids else 0), max_states)
     parts, counts, work = _split(g), [], 1
     for h, _ in parts:
         blocks = _blocks(group, *(_tension_forms if dual else _flow_forms)(h), max_states)

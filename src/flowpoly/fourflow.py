@@ -50,7 +50,6 @@ from .flows import (
     _map_of,
     _nz_flow,
     _tension_sums,
-    _tensions,
 )
 from .graphs import UndirectedGraph, kappa
 from .quotient import _PackedForm, _fold
@@ -121,13 +120,6 @@ def _klein_maps(ids, tuples) -> list[KleinMap]:
     return [_map_of(KleinMap, 4, ids, t) for t in tuples]
 
 
-def enumerate_dual_four_flows(
-    g: UndirectedGraph, max_states: int | None = None
-) -> list[KleinMap]:
-    """All 4^(|V|-kappa) Klein tensions via rooted potentials."""
-    return _klein_maps(g.sorted_edge_ids, _tensions(g, _KLEIN_GROUP, max_states))
-
-
 def enumerate_klein_circulations(
     g: UndirectedGraph, max_states: int | None = None
 ) -> list[KleinMap]:
@@ -153,7 +145,7 @@ def four_flow_polynomial_normal_form(
     (X + 1)(Y + 1) adds each Klein element to the pair of every non-loop
     edge at the vertex, an XOR on the codes. The unreduced expansion never
     exists."""
-    return PairQuotientPoly._of(g.sorted_edge_ids, 4, _fold(g, _KLEIN_GROUP, max_terms))
+    return PairQuotientPoly(g.sorted_edge_ids, 4, _fold(g, _KLEIN_GROUP, max_terms))
 
 
 def four_flow_coefficient_table(
@@ -170,7 +162,7 @@ def conformal_pair_normal_form(
     """Normal form rebuilt from the coefficient table: 4^kappa times the
     basic-monomial sum."""
     table = _tension_sums(g, _KLEIN_GROUP, max_states)
-    return PairQuotientPoly._of(g.sorted_edge_ids, 4, table).scaled(4 ** kappa(g))
+    return PairQuotientPoly(g.sorted_edge_ids, 4, table).scaled(4 ** kappa(g))
 
 
 def has_nz_four_flow(

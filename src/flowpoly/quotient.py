@@ -28,12 +28,11 @@ Tani, ISAAC 1995): next, the vertex leaving the fewest arcs with exactly
 one end folded, then the one of most arcs, then the least id.
 
 A normal form is a flows._Packed, as a conformal table is: it holds only
-its packed keys, over the sorted ids whatever id tuple its caller passes,
-however it is built. The fold, the conformal route and `normalize` hand
-theirs over through _PackedForm._of. The checked constructor
-QuotientPoly(p, arcs, poly) checks the Poly it is given and takes its keys
-from `normalize`, the one place a Poly becomes keys; a Klein form has no
-such constructor. `is_zero`, `==` and `text_batches`, which the writers of
+its packed keys over the sorted ids, and both groups' forms are built by
+_Packed's constructor from (ids, q, packed). Only a graph makes one, by the
+fold or by the conformal route; no given Poly is reduced, and the
+reduction of one by Poly arithmetic is a test reference, in
+tests/oracles.py. `is_zero`, `==` and `text_batches`, which the writers of
 formats print from, read the keys; `.poly` decodes them on each use, as a
 table's are. The conformal route is the table scaled: conformal_normal_form holds
 the keys of the tension table as they are, times p^kappa, and
@@ -69,13 +68,6 @@ class _PackedForm(_Packed):
 
     _fields: tuple[str, ...]
 
-    @classmethod
-    def _of(cls, ids: tuple[str, ...], q: int, packed: dict[int, int]):
-        """A form of this class holding these keys, with no Poly to check."""
-        form = cls.__new__(cls)
-        _Packed.__init__(form, ids, q, packed)
-        return form
-
     @property
     def poly(self) -> Poly:
         factors = [self._factors(i) for i in self._ids]
@@ -90,7 +82,7 @@ class _PackedForm(_Packed):
 
     def scaled(self, c: int):
         packed = {k: v * c for k, v in self._packed.items()} if c else {}
-        return self._of(self._ids, self._q, packed)
+        return type(self)(self._ids, self._q, packed)
 
     def text_batches(self, frag, descending: bool = False):
         """As flows._Packed's, but a term names only its nonzero codes."""
@@ -115,22 +107,10 @@ class _PackedForm(_Packed):
 
 
 class QuotientPoly(_PackedForm):
-    """A normal-form representative: exponents per arc lie in 0..p-2."""
+    """A normal-form representative: exponents per arc lie in 0..p-2.
+    Only the fold and the conformal route build one."""
 
     _fields = ("p", "arcs")
-
-    def __init__(self, p: int, arcs: tuple[str, ...], poly: Poly):
-        if p < 2:  # before the exponents, whose range 1..p-2 is then empty
-            raise ValueError("p must be >= 2")
-        universe = set(arcs)
-        for mono, _ in poly.items():
-            for var, exp in mono:
-                if var not in universe:
-                    raise ValueError(f"variable {var!r} outside the arc universe")
-                if not 0 < exp <= p - 2:
-                    raise ValueError(f"exponent {exp} of {var!r} not in 1..{p - 2}")
-        form = normalize(poly, p, arcs, max_terms=len(poly))
-        _Packed.__init__(self, form._ids, p, form._packed)
 
     @property
     def p(self) -> int:
@@ -145,45 +125,6 @@ class QuotientPoly(_PackedForm):
 
     def coefficient(self, psi: dict[str, int]) -> int:
         return self.poly.coefficient(psi)
-
-
-def normalize(
-    f: Poly,
-    p: int,
-    arcs: tuple[str, ...] | None = None,
-    max_terms: int | None = None,
-) -> QuotientPoly:
-    """The unique basic-monomial representative of f modulo the ideal, on
-    packed keys over arcs: a top exponent p-1 expands to minus the sum of
-    the basic exponents 0..p-2."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    bound = DEFAULT_TERM_BOUND if max_terms is None else max_terms
-    arcs = tuple(sorted(f.variables() if arcs is None else arcs))
-    weight = dict(zip(arcs, _weights(len(arcs), p)))
-    out: dict[int, int] = {}
-    for mono, coeff in f.items():
-        keys = [0]
-        for var, exp in mono:
-            d = exp % p
-            if not d:
-                continue
-            if var not in weight:
-                raise ValueError(f"variable for {var!r} outside the universe")
-            if d < p - 1:
-                keys = [k + d * weight[var] for k in keys]
-            else:
-                keys = [k + e * weight[var] for k in keys for e in range(p - 1)]
-                coeff = -coeff
-        for k in keys:
-            c = out.get(k, 0) + coeff
-            if c:
-                out[k] = c
-            else:
-                out.pop(k, None)
-        if len(out) > bound:
-            raise BoundExceeded(f"normal form exceeds {bound} terms")
-    return QuotientPoly._of(arcs, p, out)
 
 
 def flow_polynomial_raw(g: Digraph, p: int, max_terms: int | None = None) -> Poly:
@@ -304,7 +245,7 @@ def flow_polynomial_normal_form(
     """Normal form of the flow polynomial, folded vertex by vertex on packed
     keys: k in Z_p adds to the exponent of each arc entering the vertex and
     subtracts from each leaving it; the unreduced expansion never exists."""
-    return QuotientPoly._of(g.sorted_arc_ids, p, _fold(g, _zp(p), max_terms))
+    return QuotientPoly(g.sorted_arc_ids, p, _fold(g, _zp(p), max_terms))
 
 
 def has_nz_flow_membership(g: Digraph, p: int, max_terms: int | None = None) -> bool:
@@ -320,7 +261,7 @@ def conformal_normal_form(
     times the sum of c(psi) over the basic monomials. Independent of the
     polynomial reduction route; the two must agree term by term."""
     table = _tension_sums(g, _zp(p), max_states)
-    return QuotientPoly._of(g.sorted_arc_ids, p, table).scaled(p ** kappa(g))
+    return QuotientPoly(g.sorted_arc_ids, p, table).scaled(p ** kappa(g))
 
 
 def surplus_eval(g: Digraph, phi: ZpMap) -> int:

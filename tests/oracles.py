@@ -12,10 +12,11 @@ breadth-first search.
 The Klein polynomial is expanded vertex factor by vertex factor
 (four_flow_polynomial_raw), the reference for the packed fold, and
 klein_eval evaluates it at the +-1 points of the vanishing set term by
-term; the package has no Klein evaluation. reduce_pair_reference reduces
-a polynomial in the pair ideal edge by edge with Poly arithmetic; the
-package reduces no given Klein polynomial, so the fold is checked against
-this reduction of the raw expansion. count_conformal_dual_four_flows counts
+term; the package has no Klein evaluation. reduce_zp_reference reduces a
+polynomial in the Z_p ideal variable by variable, and reduce_pair_reference
+one in the pair ideal edge by edge, both with Poly arithmetic; the package
+reduces no given polynomial, so each fold is checked against this
+reduction of its raw expansion. count_conformal_dual_four_flows counts
 the conformal tensions of one psi, the reference for the Klein
 coefficient table.
 
@@ -237,6 +238,24 @@ def count_conformal_dual_four_flows(g, psi: KleinMap, max_states=None) -> tuple[
     psi.check_domain(g)
     codes = [KLEIN.index(psi[e]) for e in g.sorted_edge_ids]
     return _count_conformal(_tensions(g, _KLEIN_GROUP, max_states), [codes], 3)[0]
+
+
+def reduce_zp_reference(f: Poly, p: int) -> Poly:
+    """f reduced one variable at a time with Poly arithmetic: x^r = x^(r mod p),
+    as x^p = 1, and x^(p-1) = -(1 + x + ... + x^(p-2)), read off
+    1 + x + ... + x^(p-1) = 0. Each monomial becomes a product of one
+    reduced factor per variable."""
+    total = Poly.zero()
+    for mono, coeff in f.items():
+        term = Poly.constant(coeff)
+        for var, exp in mono:
+            r = exp % p
+            if r == p - 1:
+                term = term * -sum([Poly.variable(var, d) for d in range(r)], Poly.zero())
+            else:
+                term = term * Poly.variable(var, r)
+        total = total + term
+    return total
 
 
 def reduce_pair_reference(f: Poly) -> Poly:

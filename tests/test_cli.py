@@ -395,6 +395,9 @@ class TestErrors:
             ("coeff-table", "c3.g"),
             ("verify", "c3.g"),
             ("planar-check", "k4_embedded.g"),
+            ("coeff-table", "single_loop.g"),
+            ("nz-flow", "--method", "conformal", "single_loop.g"),
+            ("verify", "single_loop.g"),
         ],
     )
     def test_huge_p_ends_in_a_bound_error_in_bounded_memory(self, corpus_dir, argv):

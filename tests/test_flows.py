@@ -72,7 +72,7 @@ from flowpoly.fourflow import (
     KLEIN,
     _KLEIN_GROUP,
     KleinMap,
-    enumerate_dual_four_flows,
+    _klein_maps,
     enumerate_klein_circulations,
     find_nz_four_flow,
     four_flow_coefficient_table,
@@ -124,7 +124,8 @@ class TestMapCore:
         # tuples, against the checked constructor on the decoded values
         if group == "Klein":
             g, grp = d.underlying(), _KLEIN_GROUP
-            maps = enumerate_dual_four_flows(g) + enumerate_klein_circulations(g)
+            tensions = _klein_maps(g.sorted_ids, _tensions(g, grp, None))
+            maps = tensions + enumerate_klein_circulations(g)
             witness = find_nz_four_flow(g)
             check = KleinMap
         else:
@@ -362,7 +363,8 @@ class TestTensionOdometer:
         d = Digraph.build([("b", "u", "v"), ("a", "v", "w"), ("c", "w", "u")])
         assert all(list(m.values) == ["a", "b", "c"] for m in enumerate_dual_flows(d, 3))
         u = d.underlying()
-        assert all(list(m.values) == ["a", "b", "c"] for m in enumerate_dual_four_flows(u))
+        tensions = _klein_maps(u.sorted_edge_ids, _tensions(u, _KLEIN_GROUP, None))
+        assert all(list(m.values) == ["a", "b", "c"] for m in tensions)
 
     def test_state_bound_fires_on_the_first_step(self):
         with pytest.raises(BoundExceeded, match="^27 states exceed the bound 26$"):

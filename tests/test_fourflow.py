@@ -24,6 +24,7 @@ from oracles import (
     is_conformal4,
     klein_eval,
     parity4,
+    product_tensions,
     reduce_pair_reference,
 )
 
@@ -32,14 +33,15 @@ from flowpoly.fourflow import (
     KLEIN,
     KLEIN_BASIC,
     KleinMap,
+    _KLEIN_GROUP,
+    _klein_maps,
     conformal_pair_normal_form,
-    enumerate_dual_four_flows,
     enumerate_klein_circulations,
     four_flow_coefficient_table,
     four_flow_polynomial_normal_form,
     has_nz_four_flow,
 )
-from flowpoly.flows import is_dual_flow, is_flow
+from flowpoly.flows import _tensions, is_dual_flow, is_flow
 from flowpoly.graphs import UndirectedGraph, cyclomatic_number, kappa
 from flowpoly.polynomials import Poly
 from flowpoly.quotient import has_nz_flow_membership
@@ -95,7 +97,7 @@ class TestIsDualFourFlow:
 class TestEnumerations:
     def test_counts(self):
         for g in all_connected_multigraphs(4):
-            tensions = enumerate_dual_four_flows(g)
+            tensions = _klein_maps(g.sorted_edge_ids, _tensions(g, _KLEIN_GROUP, None))
             assert len(tensions) == 4 ** (len(g.vertices) - kappa(g))
             assert all(is_dual_flow(g, t) for t in tensions)
             flows = enumerate_klein_circulations(g)
@@ -322,7 +324,7 @@ class TestConformal4:
     def test_counts_match_the_map_by_map_oracle(self, g):
         u = g.underlying()
         ids = [e.id for e in u.edges]
-        tensions = enumerate_dual_four_flows(u)
+        tensions = _klein_maps(u.sorted_edge_ids, product_tensions(u, _KLEIN_GROUP, None))
         for values in product(KLEIN_BASIC, repeat=len(ids)):
             psi = KleinMap(dict(zip(ids, values)))
             split = [parity4(phi) for phi in tensions if is_conformal4(phi, psi)]
